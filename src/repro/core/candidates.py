@@ -42,6 +42,10 @@ arrays on first access.  Cycles whose arbiter never touches the arrays
 reader — other arbiters, ``to_candidates``, tests — still sees arrays
 that are exactly coherent with the sparse rows.
 
+Loops with an eligibility rule (downstream link credits on the network,
+dead ports and stuck slots in the fault harness) apply it in place with
+:meth:`CandidateBuffer.retain` between the fill and the match.
+
 Arbiters consume the buffer through :meth:`Arbiter.match_buffer`; every
 built-in arbiter implements it natively, and the base class falls back to
 :meth:`to_candidates` + :meth:`Arbiter.match` so external arbiters keep
@@ -49,6 +53,8 @@ working unchanged.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -187,6 +193,40 @@ class CandidateBuffer:
             lst.clear()
         self.sparse_valid = False
         self._dirty = False
+
+    def retain(self, keep: Callable[[int, int, int], bool]) -> None:
+        """Drop every candidate for which ``keep(in_port, vc, out_port)``
+        is false, compacting each port's survivors in level order.
+
+        The eligibility step between link scheduling and matching: it
+        runs *after* the top-``levels`` truncation, so a dropped
+        candidate is not replaced by a lower-ranked VC — the survivors
+        simply move up to dense levels ``0..k-1``.  Works on both fill
+        kinds: the sparse rows of an integer fill (the arrays then
+        re-sync lazily) and the arrays of a float-keyed fill.
+        """
+        if self.sparse_valid:
+            for p, row in enumerate(self.sparse):
+                if row:
+                    kept = [e for e in row if keep(p, e[1], e[2])]
+                    if len(kept) != len(row):
+                        row[:] = kept
+                        self._dirty = True
+            return
+        count = self._count
+        vc, out = self._vc, self._out_port
+        prio = self._prio_int if self.integer_keys else self._prio_float
+        for p in range(self.num_ports):
+            n = int(count[p])
+            w = 0
+            for level in range(n):
+                if keep(p, int(vc[p, level]), int(out[p, level])):
+                    if w != level:
+                        vc[p, w] = vc[p, level]
+                        out[p, w] = out[p, level]
+                        prio[p, w] = prio[p, level]
+                    w += 1
+            count[p] = w
 
     def total(self) -> int:
         """Number of valid candidates across all ports."""

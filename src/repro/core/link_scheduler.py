@@ -26,7 +26,8 @@ multiply (:data:`RESERVED_SCALE`).
 Three selection entry points share that ranking rule:
 
 * :meth:`LinkScheduler.select_port` — one port, object path (reference);
-* :meth:`LinkScheduler.select_batch` — all ports vectorized, object path;
+* :meth:`LinkScheduler.select_batch` — all ports vectorized, object path
+  (the ``fast_path=False`` reference pipeline);
 * :meth:`LinkScheduler.select_into` — all ports vectorized into a
   preallocated :class:`~repro.core.candidates.CandidateBuffer` with no
   per-cycle Python object allocation (the hot path).

@@ -37,6 +37,7 @@ from ..sessions.churn import (
     SessionSpec,
     _draw_class,
     make_session_spec,
+    mean_arrival_gap,
 )
 
 __all__ = ["FabricSession", "generate_fabric_timeline"]
@@ -76,20 +77,20 @@ def generate_fabric_timeline(
     hosts = list(hosts)
     if len(hosts) < 2:
         raise ValueError("a fabric timeline needs at least 2 host routers")
-    if churn.arrivals_per_kcycle == 0:
+    gap = mean_arrival_gap(churn.arrivals_per_kcycle)
+    if gap is None:
         return []
     churn = dataclasses.replace(churn, renegotiate=False)
-    rate = churn.arrivals_per_kcycle / 1000.0
     drafts: list[FabricSession] = []
     for src_index, src in enumerate(hosts):
         degree = topology.degree(src)
         for port in range(degree, config.num_ports):
             t = 0.0
             while True:
-                t += rng.exponential(1.0 / rate)
-                arrival = int(t)
-                if arrival >= horizon_cycles:
+                t += rng.exponential(gap)
+                if t >= horizon_cycles:
                     break
+                arrival = int(t)
                 # Uniform over the other host routers: draw an index into
                 # the list with the source excluded, then skip past it.
                 dst_index = int(rng.integers(len(hosts) - 1))

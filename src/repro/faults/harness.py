@@ -124,10 +124,14 @@ class FaultySingleRouterSim(SingleRouterSim):
         self, workload: Workload, control: RunControl, telemetry=None,
         sessions=None,
     ) -> SimResult:
-        if sessions is not None:
-            return self._run_sessions_faulty(
-                workload, control, sessions, telemetry
-            )
+        """Run the faulty cycle loop, optionally with a session engine.
+
+        ``sessions`` hooks run at the same points the healthy
+        ``_run_sessions`` loop places them; when the engine carries a
+        control plane, its recovery controller is attached to the
+        degradation policy for the duration of the run.
+        """
+        engine = sessions
         router = self.router
         config = self.config
         cfg = self.fault_config
@@ -146,7 +150,15 @@ class FaultySingleRouterSim(SingleRouterSim):
         if telemetry is not None:
             telemetry.begin(router, workload, metrics, control)
             self.sim_watchdog.on_trip = telemetry.on_watchdog_trip
+        eng_next = None
+        if engine is not None:
+            engine.begin(router, workload, metrics, control, telemetry=telemetry)
+            self._engine = engine
+            if engine.control_plane is not None:
+                self.degradation.controller = engine.control_plane.recovery
+            eng_next = getattr(engine, "next_event_cycle", None)
         arb_rng = self.rng.arbiter
+        injector = self.injector
         credits = router.credits
         vc_memory = router.vc_memory
         occupancy = vc_memory.occupancy
@@ -162,7 +174,10 @@ class FaultySingleRouterSim(SingleRouterSim):
         # Skipping is only safe when the fault config can never fire (no
         # per-opportunity draws, no dead port); any live fault machinery
         # disables it for the whole run.  Token-bucket refills at round
-        # boundaries clamp the fast-forward target below.
+        # boundaries clamp the fast-forward target below.  A session
+        # engine must expose its next-event times, and an attached
+        # control plane keeps per-cycle recovery state on the
+        # degradation policy, so it disables skipping outright.
         tel_next = (
             getattr(telemetry, "next_event_cycle", None)
             if telemetry is not None
@@ -172,6 +187,10 @@ class FaultySingleRouterSim(SingleRouterSim):
             self.skip_idle
             and cfg.is_inert
             and (telemetry is None or tel_next is not None)
+            and (
+                engine is None
+                or (engine.control_plane is None and eng_next is not None)
+            )
         )
         end = control.cycles
         next_due = next_injection_cycle(feeds, pointers, end)
@@ -184,160 +203,10 @@ class FaultySingleRouterSim(SingleRouterSim):
             if now % round_cycles == 0:
                 # New bandwidth round: refill the VBR token buckets.
                 np.copyto(self._tokens, router._slots)
-            if (
-                cfg.dead_port is not None
-                and self.dead_port is None
-                and now >= cfg.dead_port_cycle
-            ):
-                self._activate_dead_port(now, metrics, labels)
-            # 1. Source injection into the NICs (through the redirect map
-            #    once recovery has moved connections to new VCs).
-            if now >= next_due:
-                injected += self._inject_faulty(feeds, pointers, now)
-                next_due = next_injection_cycle(feeds, pointers, end)
-            # 2. Buffer faults, credit landing, counter watchdog.
-            self.injector.step_stuck(now, occupancy)
-            credits.deliver(now)
-            for action, port, vc, delta in self.credit_watchdog.scan(
-                now, occupancy
-            ):
-                self._on_watchdog_event(
-                    now, action, port, vc, delta, metrics, labels
-                )
-            # 3. Degradation level for this cycle's NIC eligibility.
-            level = self.degradation.update(now)
-            # 4. Link + switch scheduling and crossbar transfer.
-            candidates = self._filter_candidates(router._link_schedule(now))
-            grants = router.arbiter.match(candidates, arb_rng)
-            departures = router.crossbar.transfer(grants, vc_memory, now)
-            if scheme_stateful and departures:
-                router.notify_service(departures, now)
-            for dep in departures:
-                fate = self.injector.credit_fate(now, dep.in_port, dep.vc)
-                if fate == CREDIT_LOST:
-                    credits.fault_lose(dep.in_port, dep.vc)
-                else:
-                    credits.schedule_return(dep.in_port, dep.vc, now)
-                    if fate == CREDIT_DUP:
-                        credits.fault_duplicate(dep.in_port, dep.vc, now)
-                metrics.record(dep, now)
-            if departures:
-                departed += len(departures)
-                self.sim_watchdog.note_progress(now)
-            if telemetry is not None:
-                telemetry.on_cycle(now, departures)
-            # 5. NIC link transfer under shedding + CRC check.
-            self._accept_with_faults(now, level)
-            # 6. Conservation / livelock sweep.
-            self.sim_watchdog.check(now, injected, departed, self._conserved_drops)
-            now += 1
-            # 7. Idle fast-forward (inert fault config only): jump to the
-            #    next injection, token-refill round or telemetry sample.
-            if skipping and next_due > now and router.is_idle():
-                target = next_due
-                next_round = now + (-now % round_cycles)
-                if next_round < target:
-                    target = next_round
-                if tel_next is not None:
-                    tel_cycle = tel_next(now)
-                    if tel_cycle < target:
-                        target = tel_cycle
-                if target > now:
-                    counters_reset = self._fast_forward(
-                        now, target, control, counters_reset
-                    )
-                    now = target
-
-        if not counters_reset:
-            router.crossbar.reset_counters()
-        result = self._summarize(workload, control, metrics)
-        counters = self.counters
-        counters.duplicates_discarded = credits.duplicates_discarded
-        counters.credit_resyncs = credits.resyncs
-        counters.degradation_escalations = self.degradation.escalations
-        counters.max_degradation_level = self.degradation.max_level
-        result.fault = counters.as_dict()
-        result.degradation_level = self.degradation.max_level
-        if telemetry is not None:
-            telemetry.finish(result)
-            self._telemetry = None
-        return result
-
-    def _run_sessions_faulty(
-        self, workload: Workload, control: RunControl, engine, telemetry
-    ) -> SimResult:
-        """Faulty twin of the sessions loop (same pattern as telemetry).
-
-        Identical to :meth:`run` plus the session-engine hooks at the
-        same points the healthy ``_run_sessions`` loop places them; when
-        the engine carries a control plane, its recovery controller is
-        attached to the degradation policy for the duration of the run.
-        """
-        router = self.router
-        config = self.config
-        cfg = self.fault_config
-        feeds = native_feeds(
-            workload.build_feeds(control.cycles, self.rng.sources)
-        )
-        labels = workload.labels_by_conn()
-        conn_of_vc = {
-            (item.conn.in_port, item.conn.vc): item.conn.conn_id
-            for item in workload.loads
-        }
-        metrics = MetricsCollector(
-            config, labels, conn_of_vc, measure_from=control.warmup_cycles
-        )
-        self._telemetry = telemetry
-        if telemetry is not None:
-            telemetry.begin(router, workload, metrics, control)
-            self.sim_watchdog.on_trip = telemetry.on_watchdog_trip
-        engine.begin(router, workload, metrics, control, telemetry=telemetry)
-        self._engine = engine
-        if engine.control_plane is not None:
-            self.degradation.controller = engine.control_plane.recovery
-        arb_rng = self.rng.arbiter
-        credits = router.credits
-        vc_memory = router.vc_memory
-        occupancy = vc_memory.occupancy
-        scheme_stateful = router.scheme_stateful
-        pointers = [0] * config.num_ports
-        counters_reset = control.warmup_cycles == 0
-        if counters_reset:
-            router.crossbar.reset_counters()
-        self._refresh_classes()
-        round_cycles = config.round_cycles
-        injected = 0
-        departed = 0
-        # Same gating as :meth:`run`, plus the session engine must expose
-        # its next-event times; an attached control plane keeps per-cycle
-        # recovery state on the degradation policy, so it disables
-        # skipping outright.
-        tel_next = (
-            getattr(telemetry, "next_event_cycle", None)
-            if telemetry is not None
-            else None
-        )
-        eng_next = getattr(engine, "next_event_cycle", None)
-        skipping = (
-            self.skip_idle
-            and cfg.is_inert
-            and engine.control_plane is None
-            and eng_next is not None
-            and (telemetry is None or tel_next is not None)
-        )
-        end = control.cycles
-        next_due = next_injection_cycle(feeds, pointers, end)
-
-        now = 0
-        while now < end:
-            if not counters_reset and now >= control.warmup_cycles:
-                router.crossbar.reset_counters()
-                counters_reset = True
-            if now % round_cycles == 0:
-                np.copyto(self._tokens, router._slots)
-                # Churn admits/releases connections between rounds: keep
-                # the shed masks in sync with the live table.
-                self._refresh_classes()
+                if engine is not None:
+                    # Churn admits/releases connections between rounds:
+                    # keep the shed masks in sync with the live table.
+                    self._refresh_classes()
             if (
                 cfg.dead_port is not None
                 and self.dead_port is None
@@ -345,14 +214,17 @@ class FaultySingleRouterSim(SingleRouterSim):
             ):
                 self._activate_dead_port(now, metrics, labels)
             # 0. Session lifecycle (signaling, arrivals, drains).
-            engine.on_cycle(now)
-            # 1. Source injection into the NICs.
+            if engine is not None:
+                engine.on_cycle(now)
+            # 1. Source injection into the NICs (through the redirect map
+            #    once recovery has moved connections to new VCs).
             if now >= next_due:
                 injected += self._inject_faulty(feeds, pointers, now)
                 next_due = next_injection_cycle(feeds, pointers, end)
-            injected += engine.inject(now)
+            if engine is not None:
+                injected += engine.inject(now)
             # 2. Buffer faults, credit landing, counter watchdog.
-            self.injector.step_stuck(now, occupancy)
+            injector.step_stuck(now, occupancy)
             credits.deliver(now)
             for action, port, vc, delta in self.credit_watchdog.scan(
                 now, occupancy
@@ -362,14 +234,18 @@ class FaultySingleRouterSim(SingleRouterSim):
                 )
             # 3. Degradation level for this cycle's NIC eligibility.
             level = self.degradation.update(now)
-            # 4. Link + switch scheduling and crossbar transfer.
-            candidates = self._filter_candidates(router._link_schedule(now))
-            grants = router.arbiter.match(candidates, arb_rng)
+            # 4. Link + switch scheduling (candidates through the dead
+            #    port or a stuck slot dropped in place) and crossbar
+            #    transfer; credit returns pass through the injector.
+            buf = router._link_schedule_into(now)
+            if self.dead_port is not None or injector.has_stuck:
+                buf.retain(self._schedulable)
+            grants = router.arbiter.match_buffer(buf, arb_rng)
             departures = router.crossbar.transfer(grants, vc_memory, now)
             if scheme_stateful and departures:
                 router.notify_service(departures, now)
             for dep in departures:
-                fate = self.injector.credit_fate(now, dep.in_port, dep.vc)
+                fate = injector.credit_fate(now, dep.in_port, dep.vc)
                 if fate == CREDIT_LOST:
                     credits.fault_lose(dep.in_port, dep.vc)
                 else:
@@ -377,7 +253,8 @@ class FaultySingleRouterSim(SingleRouterSim):
                     if fate == CREDIT_DUP:
                         credits.fault_duplicate(dep.in_port, dep.vc, now)
                 metrics.record(dep, now)
-            engine.on_departures(now, departures)
+            if engine is not None:
+                engine.on_departures(now, departures)
             if departures:
                 departed += len(departures)
                 self.sim_watchdog.note_progress(now)
@@ -388,14 +265,15 @@ class FaultySingleRouterSim(SingleRouterSim):
             # 6. Conservation / livelock sweep.
             self.sim_watchdog.check(now, injected, departed, self._conserved_drops)
             now += 1
-            # 7. Idle fast-forward (inert config, no control plane): jump
-            #    to the next injection, signaling event, refill round or
-            #    telemetry sample.
+            # 7. Idle fast-forward (see ``skipping``): jump to the next
+            #    injection, signaling event, refill round or telemetry
+            #    sample.
             if skipping and next_due > now and router.is_idle():
                 target = next_due
-                eng_cycle = eng_next(now)
-                if eng_cycle < target:
-                    target = eng_cycle
+                if eng_next is not None:
+                    eng_cycle = eng_next(now)
+                    if eng_cycle < target:
+                        target = eng_cycle
                 next_round = now + (-now % round_cycles)
                 if next_round < target:
                     target = next_round
@@ -411,7 +289,8 @@ class FaultySingleRouterSim(SingleRouterSim):
 
         if not counters_reset:
             router.crossbar.reset_counters()
-        engine.finish()
+        if engine is not None:
+            engine.finish()
         result = self._summarize(workload, control, metrics)
         counters = self.counters
         counters.duplicates_discarded = credits.duplicates_discarded
@@ -420,8 +299,9 @@ class FaultySingleRouterSim(SingleRouterSim):
         counters.max_degradation_level = self.degradation.max_level
         result.fault = counters.as_dict()
         result.degradation_level = self.degradation.max_level
-        self._engine = None
-        self.degradation.controller = None
+        if engine is not None:
+            self._engine = None
+            self.degradation.controller = None
         if telemetry is not None:
             telemetry.finish(result)
             self._telemetry = None
@@ -470,27 +350,13 @@ class FaultySingleRouterSim(SingleRouterSim):
             pointers[port] = ptr
         return injected
 
-    def _filter_candidates(self, candidates):
-        """Drop candidates through the dead port or a stuck buffer slot."""
-        injector = self.injector
-        if self.dead_port is None and not injector.has_stuck:
-            return candidates
-        dead = self.dead_port
-        filtered = []
-        for port_cands in candidates:
-            keep = [
-                c
-                for c in port_cands
-                if c.out_port != dead and not injector.is_stuck(c.in_port, c.vc)
-            ]
-            if len(keep) != len(port_cands):
-                # Re-level after filtering so the arbiter sees dense levels.
-                keep = [
-                    type(c)(c.in_port, c.vc, c.out_port, c.priority, lvl)
-                    for lvl, c in enumerate(keep)
-                ]
-            filtered.append(keep)
-        return filtered
+    def _schedulable(self, in_port: int, vc: int, out_port: int) -> bool:
+        """Eligibility under faults: not through the dead output port and
+        not from a stuck buffer slot (the cycle loop's
+        :meth:`CandidateBuffer.retain` predicate)."""
+        return out_port != self.dead_port and not self.injector.is_stuck(
+            in_port, vc
+        )
 
     def _accept_with_faults(self, now: int, level: int) -> None:
         """NIC link transfer under degradation masking and CRC checking."""

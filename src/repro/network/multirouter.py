@@ -17,9 +17,10 @@ ports attach host NICs.
 Scheduling detail: a head flit bound for a downstream router may only
 compete for the crossbar when the downstream VC buffer has space (the
 upstream router holds its credits).  The network step therefore filters
-the link scheduler's candidates by downstream credit before arbitration —
-the same eligibility rule the NIC link controller applies on the host
-links.
+the link scheduler's candidates by downstream credit before arbitration
+(:meth:`~repro.core.candidates.CandidateBuffer.retain`, after the
+top-``candidate_levels`` truncation) — the same eligibility rule the NIC
+link controller applies on the host links.
 """
 
 from __future__ import annotations
@@ -398,19 +399,28 @@ class MultiRouterNetwork:
         self, router_id: int, router: MMRouter, now: int, rng
     ) -> None:
         """One cycle of one router — the RouterShard stepping core."""
-        router.credits.deliver(now)
         if not router.vc_memory._occ_mask:
-            # Quiet cycle (every VC empty): link scheduling would yield
-            # an empty candidate set and every arbiter returns an empty
-            # matching without drawing RNG, so mirror the two counters
-            # the full pipeline would still move (the PR 8 step_quiet
-            # contract, pinned by the skip twin tests) and skip it.
-            router.arbiter.skip_idle_cycles(1)
-            router.crossbar.cycles += 1
-            router._accept_from_nics(now)
+            # Every VC empty: nothing to schedule (the step_quiet
+            # contract, pinned by the skip twin tests).
+            router.step_quiet(now)
             return
-        candidates = self._eligible_candidates(router_id, router, now)
-        grants = router.arbiter.match(candidates, rng)
+        router.credits.deliver(now)
+        buf = router._link_schedule_into(now)
+        link_credits = self._link_credits
+        hop_lookup = self._hop_lookup
+
+        def has_credit(in_port: int, vc: int, out_port: int) -> bool:
+            credits = link_credits.get((router_id, out_port))
+            if credits is None:
+                return True  # host-bound: the sink always drains
+            hop = hop_lookup.get((router_id, in_port, vc))
+            if hop is None:  # pragma: no cover - defensive
+                return False
+            net_conn, hop_idx = hop
+            return credits[net_conn.hops[hop_idx + 1].vc] > 0
+
+        buf.retain(has_credit)
+        grants = router.arbiter.match_buffer(buf, rng)
         departures = router.crossbar.transfer(grants, router.vc_memory, now)
         if router.scheme_stateful and departures:
             router.notify_service(departures, now)
@@ -425,32 +435,6 @@ class MultiRouterNetwork:
                 router.credits.schedule_return(dep.in_port, dep.vc, now)
             self._route_departure(router_id, dep, now)
         router._accept_from_nics(now)
-
-    def _eligible_candidates(self, router_id: int, router: MMRouter, now: int):
-        candidates = router._link_schedule(now)
-        filtered = []
-        for port_cands in candidates:
-            keep = []
-            for cand in port_cands:
-                key = (router_id, cand.out_port)
-                credits = self._link_credits.get(key)
-                if credits is None:
-                    keep.append(cand)  # host-bound: sink always drains
-                    continue
-                hop = self._hop_lookup.get((router_id, cand.in_port, cand.vc))
-                if hop is None:  # pragma: no cover - defensive
-                    continue
-                net_conn, hop_idx = hop
-                down_vc = net_conn.hops[hop_idx + 1].vc
-                if credits[down_vc] > 0:
-                    keep.append(cand)
-            # Re-level after filtering so the arbiter sees dense levels.
-            keep = [
-                type(c)(c.in_port, c.vc, c.out_port, c.priority, lvl)
-                for lvl, c in enumerate(keep)
-            ]
-            filtered.append(keep)
-        return filtered
 
     def _route_departure(self, router_id: int, dep, now: int) -> None:
         key = (router_id, dep.out_port)

@@ -42,11 +42,17 @@ class Topology:
     port_map: dict[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        out: list[list[int]] = [[] for _ in range(self.num_routers)]
         for u, v in self.edges:
             if not (0 <= u < self.num_routers and 0 <= v < self.num_routers):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError("self-loop links are not allowed")
+            out[u].append(v)
+        # Adjacency precomputed once: degree() runs per router per cycle.
+        # A plain attribute, not a dataclass field, so equality, hashing
+        # and serialisation still see only the three fields above.
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in out))
 
     def graph(self) -> nx.DiGraph:
         g = nx.DiGraph()
@@ -55,14 +61,14 @@ class Topology:
         return g
 
     def neighbors(self, router: int) -> list[int]:
-        return sorted(v for u, v in self.edges if u == router)
+        return list(self._neighbors[router])
 
     def degree(self, router: int) -> int:
         """Number of inter-router links leaving a router."""
-        return sum(1 for u, _v in self.edges if u == router)
+        return len(self._neighbors[router])
 
     def max_degree(self) -> int:
-        return max((self.degree(r) for r in range(self.num_routers)), default=0)
+        return max(map(len, self._neighbors), default=0)
 
     def shortest_path(
         self,

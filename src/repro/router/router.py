@@ -265,7 +265,8 @@ class MMRouter:
             scheme.on_service(dep.in_port, dep.vc, dep.out_port, now)
 
     def _link_schedule(self, now: int) -> list[list[Candidate]]:
-        """Object-path link scheduling (reference; fault harness uses it)."""
+        """Object-path link scheduling: the ``fast_path=False`` reference
+        that ``repro perf`` and the differential tests compare against."""
         heads = self.vc_memory.heads_all()
         return self.link_scheduler.select_batch(
             heads, self._slots, self._dest, now, self._tier

@@ -41,6 +41,7 @@ __all__ = [
     "SessionSpec",
     "generate_timeline",
     "make_session_spec",
+    "mean_arrival_gap",
 ]
 
 #: Session class names accepted in a churn mix.  ``cbr-*`` map onto the
@@ -49,6 +50,11 @@ __all__ = [
 SESSION_CLASSES = ("cbr-low", "cbr-medium", "cbr-high", "vbr", "best-effort")
 
 _HOLD_DISTS = ("exponential", "pareto")
+
+#: Upper bound on ``arrivals_per_kcycle``: one session arrival per port
+#: per flit cycle.  Above it a timeline would need more draws than any
+#: run can hold (``1e300`` would never finish generating).
+MAX_ARRIVALS_PER_KCYCLE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,17 @@ class ChurnConfig:
     renegotiate: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrivals_per_kcycle < 0:
-            raise ValueError("arrivals_per_kcycle must be >= 0")
-        if self.mean_hold_cycles <= 0:
-            raise ValueError("mean_hold_cycles must be positive")
+        # Written so that NaN fails every check (NaN compares False).
+        if not 0 <= self.arrivals_per_kcycle <= MAX_ARRIVALS_PER_KCYCLE:
+            raise ValueError(
+                "arrivals_per_kcycle must be in "
+                f"[0, {MAX_ARRIVALS_PER_KCYCLE:g}]"
+            )
+        if not 0 < self.mean_hold_cycles < math.inf:
+            raise ValueError("mean_hold_cycles must be positive and finite")
         if self.hold_dist not in _HOLD_DISTS:
             raise ValueError(f"hold_dist must be one of {_HOLD_DISTS}")
-        if self.pareto_shape <= 1.0:
+        if not 1.0 < self.pareto_shape < math.inf:
             raise ValueError("pareto_shape must be > 1 (finite mean)")
         if self.min_hold_cycles < 1:
             raise ValueError("min_hold_cycles must be >= 1")
@@ -101,8 +111,8 @@ class ChurnConfig:
                 raise ValueError(
                     f"unknown session class {name!r}; known: {SESSION_CLASSES}"
                 )
-            if weight < 0:
-                raise ValueError("mix weights must be >= 0")
+            if not 0 <= weight < math.inf:
+                raise ValueError("mix weights must be finite and >= 0")
         if sum(w for _n, w in mix) <= 0:
             raise ValueError("mix weights must sum to > 0")
         object.__setattr__(self, "mix", mix)
@@ -110,8 +120,8 @@ class ChurnConfig:
             raise ValueError("best_effort_load must be in (0, 1)")
         if self.vbr_frame_time_cycles <= 0:
             raise ValueError("vbr_frame_time_cycles must be positive")
-        if self.vbr_bandwidth_scale <= 0:
-            raise ValueError("vbr_bandwidth_scale must be positive")
+        if not 0 < self.vbr_bandwidth_scale < math.inf:
+            raise ValueError("vbr_bandwidth_scale must be positive and finite")
 
     @property
     def offered_erlangs_per_port(self) -> float:
@@ -324,6 +334,22 @@ def make_session_spec(
     )
 
 
+def mean_arrival_gap(arrivals_per_kcycle: float) -> float | None:
+    """Mean Poisson inter-arrival gap in cycles, or ``None`` for no churn.
+
+    A zero rate draws nothing (the zero-churn bit-identity guarantee),
+    and so does a rate too small for its gap to be a finite float (a
+    subnormal rate such as ``2.2e-311``, or one that underflows to zero
+    per cycle).  Every other rate yields exactly ``1.0 / rate``, so its
+    draws are unchanged.
+    """
+    rate = arrivals_per_kcycle / 1000.0
+    if rate <= 0.0:
+        return None
+    gap = 1.0 / rate
+    return gap if gap < math.inf else None
+
+
 def generate_timeline(
     config: RouterConfig,
     churn: ChurnConfig,
@@ -334,31 +360,30 @@ def generate_timeline(
 
     Ports are processed in order, each with its own Poisson arrival
     process off the shared stream; a zero arrival rate draws nothing at
-    all (the zero-churn bit-identity guarantee).  Session ids are
-    assigned in arrival order after the merge, so logs read
-    chronologically.
+    all (the zero-churn bit-identity guarantee; see
+    :func:`mean_arrival_gap`).  Session ids are assigned in arrival order
+    after the merge, so logs read chronologically.
     """
     if horizon_cycles <= 0:
         raise ValueError("horizon_cycles must be positive")
-    if churn.arrivals_per_kcycle == 0:
+    gap = mean_arrival_gap(churn.arrivals_per_kcycle)
+    if gap is None:
         return []
-    rate = churn.arrivals_per_kcycle / 1000.0
     drafts: list[SessionSpec] = []
     for port in range(config.num_ports):
         t = 0.0
-        order = 0
         while True:
-            t += rng.exponential(1.0 / rate)
-            arrival = int(t)
-            if arrival >= horizon_cycles:
+            t += rng.exponential(gap)
+            # Compare the float first: int() of an overflowed draw raises.
+            if t >= horizon_cycles:
                 break
+            arrival = int(t)
             cls_name = _draw_class(churn, rng)
             drafts.append(
                 _make_session(
                     len(drafts), port, arrival, cls_name, config, churn, rng
                 )
             )
-            order += 1
     drafts.sort(key=lambda s: (s.arrival_cycle, s.in_port, s.sid))
     for sid, spec in enumerate(drafts):
         spec.sid = sid

@@ -14,6 +14,8 @@ delay.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import InjectionSchedule, TrafficSource
@@ -37,8 +39,8 @@ class BestEffortSource(TrafficSource):
     def __init__(self, load: float, mean_packet_flits: float = 8.0) -> None:
         if not (0 < load < 1):
             raise ValueError("load must be in (0, 1)")
-        if mean_packet_flits < 1:
-            raise ValueError("mean_packet_flits must be >= 1")
+        if not 1 <= mean_packet_flits < math.inf:
+            raise ValueError("mean_packet_flits must be finite and >= 1")
         self.load = load
         self.mean_packet_flits = mean_packet_flits
 
@@ -50,6 +52,10 @@ class BestEffortSource(TrafficSource):
             return InjectionSchedule.empty()
         mean_len = self.mean_packet_flits
         packet_rate = self.load / mean_len  # packets per cycle
+        if packet_rate == 0.0 or 1.0 / packet_rate == math.inf:
+            # A subnormal rate: the mean gap overflows, so no packet
+            # could ever start inside the horizon.  Draw nothing.
+            return InjectionSchedule.empty()
         expected_packets = max(1, int(horizon * packet_rate * 1.5) + 8)
         gaps = rng.exponential(1.0 / packet_rate, size=expected_packets)
         starts = np.cumsum(gaps)
