@@ -186,14 +186,6 @@ class CandidateBuffer:
 
     # ------------------------------------------------------------------
 
-    def clear(self) -> None:
-        """Mark every port empty (the fill pass overwrites the rest)."""
-        self._count[:] = 0
-        for lst in self.sparse:
-            lst.clear()
-        self.sparse_valid = False
-        self._dirty = False
-
     def retain(self, keep: Callable[[int, int, int], bool]) -> None:
         """Drop every candidate for which ``keep(in_port, vc, out_port)``
         is false, compacting each port's survivors in level order.

@@ -69,12 +69,6 @@ class CandidateOrderArbiter(Arbiter):
         self.arbitration = arbitration
         if ordering != "level_conflict" or arbitration != "priority":
             self.name = f"coa[{ordering}/{arbitration}]"
-        # Persistent row scratch for the per-cycle matching calls: the
-        # list objects live for the arbiter's lifetime, only their
-        # contents turn over (clearing is cheaper than reallocating).
-        self._rows_scratch: list[list[tuple[int | float, int, int]]] = [
-            [] for _ in range(levels * num_ports)
-        ]
         # With these rules a lone request is granted without consulting
         # rng (_pick_row returns the only live row drawlessly and the
         # single-request arbitration path never draws), so match_buffer
@@ -101,15 +95,16 @@ class CandidateOrderArbiter(Arbiter):
         numpy overhead dominates the whole simulation.
         """
         n = self.num_ports
-        # rows[level * n + out] -> list of (priority, in_port, vc)
-        rows = self._rows_scratch
-        for row in rows:
-            row.clear()
+        rows: dict[int, list[tuple[int | float, int, int]]] = {}
         for port_cands in candidates:
             for cand in port_cands:
-                rows[cand.level * n + cand.out_port].append(
-                    (cand.priority, cand.in_port, cand.vc)
-                )
+                idx = cand.level * n + cand.out_port
+                req = (cand.priority, cand.in_port, cand.vc)
+                row = rows.get(idx)
+                if row is None:
+                    rows[idx] = [req]
+                else:
+                    row.append(req)
         return self._match_rows(rows, rng)
 
     def match_buffer(
@@ -127,38 +122,35 @@ class CandidateOrderArbiter(Arbiter):
         """
         n = self.num_ports
         max_level = self.levels
+        rows: dict[int, list[tuple[int | float, int, int]]] = {}
         if buf.sparse_valid:
-            sparse = buf.sparse
-            if self._single_fast:
-                # 0/1-candidate bypass: drawless under these rules (see
-                # __init__), so the grant set — and every rng draw — is
-                # identical to the general path.
-                total = 0
-                for cands in sparse:
-                    total += min(len(cands), max_level)
-                    if total > 1:
-                        break
-                if total == 0:
-                    return []
-                if total == 1:
-                    for p, cands in enumerate(sparse):
-                        if cands:
-                            _key, vc, out = cands[0]
-                            return [(p, vc, out)]
-            rows = self._rows_scratch
-            for row in rows:
-                row.clear()
             # Python-native rows straight from the sparse fill — no numpy
             # round-trip.  Same (port, level) visiting order and the same
             # folded keys as the array path below.
-            for p, cands in enumerate(sparse):
-                for level in range(min(len(cands), max_level)):
-                    key, vc, out = cands[level]
-                    rows[level * n + out].append((key, p, vc))
+            deep = buf.levels > max_level
+            total = 0
+            for p, cands in enumerate(buf.sparse):
+                if not cands:
+                    continue
+                if deep:
+                    cands = cands[:max_level]
+                total += len(cands)
+                for level, (key, vc, out) in enumerate(cands):
+                    idx = level * n + out
+                    row = rows.get(idx)
+                    if row is None:
+                        rows[idx] = [(key, p, vc)]
+                    else:
+                        row.append((key, p, vc))
+            if total <= 1 and self._single_fast:
+                # 0/1-candidate bypass: drawless under these rules (see
+                # __init__), so the grant set — and every rng draw — is
+                # identical to the general path.
+                if not total:
+                    return []
+                ((idx, ((_key, p, vc),)),) = rows.items()
+                return [(p, vc, idx % n)]
             return self._match_rows(rows, rng)
-        rows = self._rows_scratch
-        for row in rows:
-            row.clear()
         counts = buf.count.tolist()
         vcs = buf.vc.tolist()
         outs = buf.out_port.tolist()
@@ -166,21 +158,28 @@ class CandidateOrderArbiter(Arbiter):
         for p in range(n):
             vp, op, kp = vcs[p], outs[p], keys[p]
             for level in range(min(counts[p], max_level)):
-                rows[level * n + op[level]].append((kp[level], p, vp[level]))
+                idx = level * n + op[level]
+                row = rows.get(idx)
+                if row is None:
+                    rows[idx] = [(kp[level], p, vp[level])]
+                else:
+                    row.append((kp[level], p, vp[level]))
         return self._match_rows(rows, rng)
 
     def _match_rows(
         self,
-        rows: list[list[tuple[int | float, int, int]]],
+        rows: dict[int, list[tuple[int | float, int, int]]],
         rng: np.random.Generator,
     ) -> list[Grant]:
-        """Core matching loop over ``rows[level * n + out]`` request lists.
+        """Core matching loop over the present ``level * n + out`` rows.
 
-        Conflict counts (live requests per row) are maintained
-        incrementally: granting an input decrements every row that input
-        requested, instead of rescanning all requests each round.  The
-        counts — and therefore every rng draw — are identical to the
-        rescanning formulation.
+        ``rows`` maps each row holding at least one request to its
+        ``(priority, in_port, vc)`` list, so the work scales with the
+        candidates, not with ``levels * ports``.  Conflict counts (live
+        requests per row) are maintained incrementally: granting an
+        input decrements every row that input requested, instead of
+        rescanning all requests each round.  The counts — and therefore
+        every rng draw — are identical to the rescanning formulation.
         """
         n = self.num_ports
         in_free = [True] * n
@@ -188,20 +187,21 @@ class CandidateOrderArbiter(Arbiter):
         grants: list[Grant] = []
         ordering = self.ordering
         by_priority = self.arbitration == "priority"
+        # Present rows in ascending index order: level-major, so the
+        # lowest live level is always a prefix (see _pick_row).
+        active = sorted(rows)
         # counts[idx] = requests on row idx whose input is still free.
-        counts = [len(row) for row in rows]
+        counts: dict[int, int] = {}
         rows_of_input: list[list[int]] = [[] for _ in range(n)]
-        active: list[int] = []
-        for idx, row in enumerate(rows):
-            if row:
-                active.append(idx)
-                for _prio, in_port, _vc in row:
-                    rows_of_input[in_port].append(idx)
+        for idx in active:
+            row = rows[idx]
+            counts[idx] = len(row)
+            for _prio, in_port, _vc in row:
+                rows_of_input[in_port].append(idx)
 
         while True:
             # Live rows: requests whose input and output are both free.
-            # ``active`` (ascending) bounds the scan to rows that ever
-            # held a request — counts only decrease.
+            # Counts only decrease, so ``active`` bounds the scan.
             live = [
                 (idx, counts[idx])
                 for idx in active

@@ -23,16 +23,17 @@ and breaks the biased order SIABP exists to preserve.  Only the
 float-valued IABP path keeps the classic exact power-of-two tier
 multiply (:data:`RESERVED_SCALE`).
 
-Three selection entry points share that ranking rule:
+Two selection entry points share that ranking rule:
 
-* :meth:`LinkScheduler.select_port` — one port, object path (reference);
 * :meth:`LinkScheduler.select_batch` — all ports vectorized, object path
   (the ``fast_path=False`` reference pipeline);
-* :meth:`LinkScheduler.select_into` — all ports vectorized into a
-  preallocated :class:`~repro.core.candidates.CandidateBuffer` with no
-  per-cycle Python object allocation (the hot path).
+* :meth:`LinkScheduler.select_into` — all ports, from the VC memory's
+  occupancy mask, into a preallocated
+  :class:`~repro.core.candidates.CandidateBuffer` (the hot path; sparse
+  Python rows for integer schemes, a dense scatter for IABP).
 
-The differential tests pin all three to identical candidates.
+The differential tests pin both, and a per-port reference kept with the
+tests, to identical candidates.
 
 Stateful schemes (the fair-queueing family in :mod:`repro.fq`) are
 ranked through ``scheme.keys()`` / ``scheme.keys_port()`` instead of
@@ -80,17 +81,17 @@ class LinkScheduler:
         self.scheme = scheme
         n, v = config.num_ports, config.vcs_per_link
         self._num_vcs = v
-        # Preallocated scratch for the vectorized paths (select_batch /
-        # select_into).  All (n, v)-shaped; refilled in place each cycle.
+        # Preallocated scratch for the float fill (select_into).  All
+        # (n, v)-shaped, with flat same-memory views for the scatter of
+        # the occupied VCs; refilled in place each cycle.
         self._delay = np.zeros((n, v), dtype=np.int64)
+        self._delay_flat = self._delay.reshape(-1)
         self._key_f = np.zeros((n, v), dtype=np.float64)
         self._rows = np.arange(n)[:, None]
-        # Per-port accumulation lists for the sparse integer fill; the
-        # list objects persist, only their contents turn over per cycle.
-        self._per_port: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        # Occupancy scratch for stateful schemes on the sparse path
-        # (their keys() wants the boolean head-occupancy matrix).
+        # Boolean occupancy scratch: the float fill's occupied mask, and
+        # the matrix stateful schemes' keys() want on the sparse path.
         self._occ_scratch = np.zeros((n, v), dtype=bool)
+        self._occ_flat = self._occ_scratch.reshape(-1)
         self._stateful = bool(getattr(scheme, "stateful", False))
         # Python-list mirrors of the (slow-changing) connection arrays,
         # reused across cycles while the caller-supplied state_version is
@@ -99,12 +100,12 @@ class LinkScheduler:
         self._mirror: tuple[list[int], list[int], list[bool] | None] | None = None
 
     # ------------------------------------------------------------------
-    # Ranking helpers (shared by all three selection entry points)
+    # Ranking helpers (shared by the object paths)
     # ------------------------------------------------------------------
 
     @staticmethod
     def _folded_int_keys(
-        prio: np.ndarray, reserved: np.ndarray | None, out: np.ndarray | None = None
+        prio: np.ndarray, reserved: np.ndarray | None
     ) -> np.ndarray:
         """Fold the tier bit into exact int64 sort keys.
 
@@ -121,16 +122,9 @@ class LinkScheduler:
         if prio.size and int(prio.min()) < 0:
             raise ValueError("integer priority keys must be non-negative")
         if reserved is None:
-            if out is None:
-                return prio.copy()
-            np.copyto(out, prio)
-            return out
+            return prio.copy()
         tier = (reserved & (prio != 0)).astype(np.int64)
-        if out is None:
-            return prio + (tier << TIER_SHIFT)
-        np.left_shift(tier, TIER_SHIFT, out=out)
-        np.add(out, prio, out=out)
-        return out
+        return prio + (tier << TIER_SHIFT)
 
     @staticmethod
     def _object_priority(key: int, is_reserved: bool) -> int:
@@ -138,126 +132,8 @@ class LinkScheduler:
         return key * _RESERVED_FACTOR if is_reserved else key
 
     # ------------------------------------------------------------------
-    # Object paths (reference implementations)
+    # Object path (the reference pipeline)
     # ------------------------------------------------------------------
-
-    def select_port(
-        self,
-        port: int,
-        heads: HeadView,
-        slots: np.ndarray,
-        dests: np.ndarray,
-        now: int,
-        tier_scale: np.ndarray | None = None,
-    ) -> list[Candidate]:
-        """Candidates for one input port, ordered by level.
-
-        Parameters
-        ----------
-        port:
-            Input port index.
-        heads:
-            Head-flit view of this port's VC memory.
-        slots:
-            (vcs,) reserved slots per round for each VC (0 where no
-            connection is established).
-        dests:
-            (vcs,) output port of each VC's connection (-1 where none).
-        now:
-            Current flit cycle; queuing delay = ``now - arrival``.
-        tier_scale:
-            Optional (vcs,) per-VC tier vector implementing the
-            reserved/best-effort hierarchy (:data:`RESERVED_SCALE` for
-            reserved VCs, 1.0 for best-effort).  ``None`` treats every
-            VC as one tier.  Float schemes multiply by it; integer
-            schemes use it only as the reserved mask (entries > 1).
-        """
-        occ = heads.occupancy
-        eligible = np.flatnonzero(occ > 0)
-        if eligible.size == 0:
-            return []
-        if self._stateful:
-            prio = np.asarray(
-                self.scheme.keys_port(port, occ > 0), dtype=np.int64
-            )[eligible]
-        else:
-            delay = now - heads.arrival_cycle[eligible]
-            prio = self.scheme.compute(slots[eligible], delay)
-        c = min(self.config.candidate_levels, eligible.size)
-        reserved = None if tier_scale is None else tier_scale[eligible] > 1.0
-
-        if self.scheme.integer_valued:
-            prio = np.asarray(prio, dtype=np.int64)
-            folded = self._folded_int_keys(prio, reserved)
-            # Descending key, ties by ascending VC index (stable argsort
-            # over indices already in VC order).
-            ranked = np.argsort(-folded, kind="stable")[:c]
-            out: list[Candidate] = []
-            for level, k in enumerate(ranked):
-                vc = int(eligible[k])
-                out.append(
-                    Candidate(
-                        in_port=port,
-                        vc=vc,
-                        out_port=int(dests[vc]),
-                        priority=self._object_priority(
-                            int(prio[k]),
-                            bool(reserved[k]) if reserved is not None else False,
-                        ),
-                        level=level,
-                    )
-                )
-            return out
-
-        prio = prio.astype(np.float64)
-        if tier_scale is not None:
-            prio = prio * tier_scale[eligible]
-        if eligible.size > c:
-            # Top-C by priority; stable ordering resolved by the sort below.
-            top = np.argpartition(-prio, c - 1)[:c]
-        else:
-            top = np.arange(eligible.size)
-        # Order the winners by descending priority; break ties by VC index
-        # (deterministic, mirrors a fixed-priority encoder in hardware).
-        order = np.lexsort((eligible[top], -prio[top]))
-        ranked = top[order]
-        out = []
-        for level, k in enumerate(ranked):
-            vc = int(eligible[k])
-            out.append(
-                Candidate(
-                    in_port=port,
-                    vc=vc,
-                    out_port=int(dests[vc]),
-                    priority=float(prio[k]),
-                    level=level,
-                )
-            )
-        return out
-
-    def select_all(
-        self,
-        heads_per_port: Sequence[HeadView],
-        slots: np.ndarray,
-        dests: np.ndarray,
-        now: int,
-        tier_scale: np.ndarray | None = None,
-    ) -> list[list[Candidate]]:
-        """Candidates for every input port (per-port reference path).
-
-        ``slots``/``dests`` are the (ports, vcs) connection-table arrays.
-        """
-        return [
-            self.select_port(
-                p,
-                heads_per_port[p],
-                slots[p],
-                dests[p],
-                now,
-                tier_scale[p] if tier_scale is not None else None,
-            )
-            for p in range(self.config.num_ports)
-        ]
 
     def select_batch(
         self,
@@ -271,7 +147,7 @@ class LinkScheduler:
 
         ``heads`` is the (ports, vcs)-shaped view from
         :meth:`repro.router.VCMemory.heads_all`.  Produces exactly the
-        same candidates as :meth:`select_all` (a property the test suite
+        same candidates as the per-port reference (a property the test suite
         asserts); it exists because evaluating the whole router in one
         numpy call chain is several times faster than per-port calls.
         """
@@ -347,7 +223,8 @@ class LinkScheduler:
     def select_into(
         self,
         buf: CandidateBuffer,
-        heads: HeadView,
+        occ_mask: int,
+        heads_q: Sequence[Sequence[int]],
         slots: np.ndarray,
         dests: np.ndarray,
         now: int,
@@ -356,33 +233,28 @@ class LinkScheduler:
     ) -> CandidateBuffer:
         """Fill ``buf`` with this cycle's candidates; no object churn.
 
-        Produces the same candidate set, order and priority keys as
-        :meth:`select_batch` (``buf.to_candidates()`` equality is pinned
-        by the tests), writing into the preallocated buffer arrays.
-        ``reserved`` is the boolean (ports, vcs) reserved-VC mask — the
-        buffer twin of ``tier_scale``.  ``state_version``, when given,
-        identifies the content of ``slots``/``dests``/``reserved``: the
-        sparse path caches Python-list mirrors of those arrays and reuses
-        them while the version is unchanged (the caller must bump it on
-        every connection setup or teardown).
+        ``occ_mask``/``heads_q`` are the occupancy view of
+        :meth:`repro.router.VCMemory.occupancy_state` (see
+        :meth:`select_into_sparse`).  Produces the same candidate set,
+        order and priority keys as :meth:`select_batch` over the dense
+        head view (``buf.to_candidates()`` equality is pinned by the
+        tests), writing into the preallocated buffer.  ``reserved`` is the
+        boolean (ports, vcs) reserved-VC mask — the buffer twin of
+        ``tier_scale``.  ``state_version``, when given, identifies the
+        content of ``slots``/``dests``/``reserved``: the sparse path
+        caches Python-list mirrors of those arrays and reuses them while
+        the version is unchanged (the caller must bump it on every
+        connection setup or teardown).
 
-        Integer-valued schemes take a *sparse* path: only the occupied
-        VCs are evaluated, with Python ints and ``int.bit_length`` — the
-        exact arithmetic is native there, and at realistic occupancies a
-        short scalar loop beats ~30 numpy dispatches on (ports, vcs)
-        arrays by a wide margin.  The float (IABP) path stays vectorized.
+        Integer-valued schemes take the sparse path
+        (:meth:`select_into_sparse`).  The float (IABP) path scatters
+        the occupied VCs' queuing delays into a dense scratch matrix and
+        ranks it vectorized.
         """
         if self.scheme.integer_valued:
-            flat = np.flatnonzero(heads.occupancy)
-            arrivals = heads.arrival_cycle.ravel()
-            mask = 0
-            heads_q: list[list[int]] = [[] for _ in range(arrivals.size)]
-            for f in flat.tolist():
-                mask |= 1 << f
-                heads_q[f].append(int(arrivals[f]))
             return self.select_into_sparse(
                 buf,
-                mask,
+                occ_mask,
                 heads_q,
                 slots,
                 dests,
@@ -391,16 +263,28 @@ class LinkScheduler:
                 state_version=state_version,
             )
 
-        occ = heads.occupancy
         c = buf.levels
-        occupied = occ > 0
         buf.mark_array_filled(integer_keys=False)
-        np.subtract(now, heads.arrival_cycle, out=self._delay)
-        self._delay[~occupied] = 0
-        prio = self.scheme.compute(slots, self._delay)
+        delay = self._delay
+        occupied = self._occ_scratch
+        delay.fill(0)
+        occupied.fill(False)
+        if occ_mask:
+            flats: list[int] = []
+            delays: list[int] = []
+            m = occ_mask
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                m ^= low
+                flats.append(f)
+                delays.append(now - heads_q[f][0])
+            self._delay_flat[flats] = delays
+            self._occ_flat[flats] = True
+        prio = self.scheme.compute(slots, delay)
         np.minimum(occupied.sum(axis=1), c, out=buf.count)
         rows = self._rows
-        w = min(c, occ.shape[1])
+        w = min(c, occupied.shape[1])
         np.copyto(self._key_f, prio)
         if reserved is not None:
             np.multiply(
@@ -430,16 +314,19 @@ class LinkScheduler:
         :meth:`repro.router.VCMemory.occupancy_state`: bit
         ``f = port * vcs_per_link + vc`` of the mask marks an occupied
         VC, and ``heads_q[f][0]`` is its head flit's arrival cycle.
-        Integer-valued schemes only; the produced buffer is identical to
-        :meth:`select_into` over the dense head view.  Only the
-        Python-native ``buf.sparse`` rows are written eagerly; the
+        Integer-valued schemes only: only the occupied VCs are
+        evaluated, with Python ints — the exact arithmetic is native
+        there, and at realistic occupancies a short scalar loop beats
+        ~30 numpy dispatches on (ports, vcs) arrays by a wide margin.
+        The Python-native ``buf.sparse`` rows are filled in place; the
         candidate arrays materialize lazily from them on first access
         (see :class:`CandidateBuffer`).
         """
         sparse = buf.sparse
-        if not occ_mask:
-            for lst in sparse:
+        for lst in sparse:
+            if lst:
                 lst.clear()
+        if not occ_mask:
             buf.mark_sparse_filled()
             return buf
         v = self._num_vcs
@@ -457,74 +344,50 @@ class LinkScheduler:
             if state_version is not None:
                 self._mirror = (slot_l, dest_l, rsv_l)
                 self._mirror_version = state_version
-        per_port = self._per_port
-        for lst in per_port:
-            lst.clear()
-        tier_bit = 1 << TIER_SHIFT
-        max_key = MAX_INTEGER_KEY
+        key_l = None
         if self._stateful:
             # Stateful schemes rank on scheduler state, not (slots,
             # delay): reconstruct the occupancy matrix from the mask and
             # ask the scheme for the whole cycle's keys in one call.
-            occ_arr = self._occ_scratch
-            occ_arr[:] = False
-            flats: list[int] = []
+            self._occ_scratch.fill(False)
             m = occ_mask
             while m:
                 low = m & -m
-                f = low.bit_length() - 1
+                self._occ_flat[low.bit_length() - 1] = True
                 m ^= low
-                flats.append(f)
-                occ_arr[f // v, f % v] = True
-            key_l = self.scheme.keys(occ_arr).ravel().tolist()
-            for f in flats:
-                key = key_l[f]
-                if key >= max_key:
-                    raise OverflowError(
-                        "integer priority key >= 2**62: no headroom left "
-                        "for the reserved-tier bit in the int64 sort key"
-                    )
-                if key < 0:
-                    raise ValueError(
-                        "integer priority keys must be non-negative"
-                    )
-                if rsv_l is not None and key and rsv_l[f]:
-                    key += tier_bit
-                per_port[f // v].append((key, f % v, dest_l[f]))
+            key_l = self.scheme.keys(self._occ_scratch).ravel().tolist()
         else:
             key_fn = self.scheme.key_scalar
-            m = occ_mask
-            while m:
-                low = m & -m
-                f = low.bit_length() - 1
-                m ^= low
+        tier_bit = 1 << TIER_SHIFT
+        max_key = MAX_INTEGER_KEY
+        m = occ_mask
+        while m:
+            low = m & -m
+            f = low.bit_length() - 1
+            m ^= low
+            if key_l is None:
                 key = key_fn(slot_l[f], now - heads_q[f][0])
-                if key >= max_key:
-                    raise OverflowError(
-                        "integer priority key >= 2**62: no headroom left "
-                        "for the reserved-tier bit in the int64 sort key"
-                    )
-                if key < 0:
-                    raise ValueError(
-                        "integer priority keys must be non-negative"
-                    )
-                # Fold the tier bit exactly like _folded_int_keys:
-                # reserved candidates with a non-zero key jump above
-                # every best-effort key; a zero key stays zero (multiply
-                # semantics).
-                if rsv_l is not None and key and rsv_l[f]:
-                    key += tier_bit
-                per_port[f // v].append((key, f % v, dest_l[f]))
+            else:
+                key = key_l[f]
+            if key >= max_key:
+                raise OverflowError(
+                    "integer priority key >= 2**62: no headroom left "
+                    "for the reserved-tier bit in the int64 sort key"
+                )
+            if key < 0:
+                raise ValueError("integer priority keys must be non-negative")
+            # Fold the tier bit exactly like _folded_int_keys: reserved
+            # candidates with a non-zero key jump above every best-effort
+            # key; a zero key stays zero (multiply semantics).
+            if rsv_l is not None and key and rsv_l[f]:
+                key += tier_bit
+            sparse[f // v].append((key, f % v, dest_l[f]))
 
-        for p, cands in enumerate(per_port):
+        for cands in sparse:
             if len(cands) > 1:
                 # Stable descending sort keeps ascending-VC tie order
                 # (entries were appended in VC order).
                 cands.sort(key=_KEY0, reverse=True)
                 del cands[c:]
-            # Buffer-owned copy: per_port is scheduler scratch and turns
-            # over next cycle, but buf.sparse must stay valid (and feed
-            # the lazy array sync) until the next fill of this buffer.
-            sparse[p][:] = cands
         buf.mark_sparse_filled()
         return buf

@@ -38,6 +38,7 @@ from ..network.multirouter import (
 from ..router.config import RouterConfig
 from ..router.connection import TrafficClass
 from ..sessions.metrics import SessionEventLog, SessionStats
+from ..sessions.signaling import arm_injection, inject_due
 from ..sim.engine import RngStreams
 from ..sim.simulation import SimResult
 from .churn import FabricSession, generate_fabric_timeline
@@ -70,14 +71,17 @@ _FAR = 1 << 62
 class _LiveFabricSession:
     """Runtime state of one timeline session."""
 
-    __slots__ = ("fs", "state", "conn", "offset", "ptr", "attempt", "paths")
+    __slots__ = ("fs", "state", "conn", "offset", "ptr", "due", "sched", "attempt", "paths")
 
     def __init__(self, fs: FabricSession) -> None:
         self.fs = fs
         self.state = "setup"
         self.conn: NetworkConnection | None = None
+        #: Injection cursor (see repro.sessions.signaling.arm_injection).
         self.offset = 0
         self.ptr = 0
+        self.due = 0
+        self.sched: tuple[list[int], list[int], list[bool]] | None = None
         #: Index of the next candidate path to try.
         self.attempt = 0
         self.paths: list[tuple[int, ...]] = []
@@ -202,35 +206,16 @@ class FabricEngine:
         counter without touching any NIC — the owning shard performs the
         actual deposit, every other replica just keeps ledger lockstep.
         """
-        lst = self._injecting
-        keep = 0
-        deposited = 0
         routers = self._net.routers
         owned = self.owned_routers
-        for live in lst:
-            spec = live.fs.spec
-            cycles = spec.cycles
-            end = len(cycles)
-            ptr = live.ptr
-            off = live.offset
-            deposit = owned is None or live.fs.src_router in owned
-            nic = routers[live.fs.src_router].nics[spec.in_port]
-            vc = live.conn.hops[0].vc
-            while ptr < end and cycles[ptr] + off <= now:
-                if deposit:
-                    nic.inject(
-                        vc,
-                        int(cycles[ptr] + off),
-                        int(spec.frame_ids[ptr]),
-                        bool(spec.frame_last[ptr]),
-                    )
-                ptr += 1
-            deposited += ptr - live.ptr
-            live.ptr = ptr
-            if ptr < end:
-                lst[keep] = live
-                keep += 1
-        del lst[keep:]
+
+        def target(live):
+            src = live.fs.src_router
+            if owned is not None and src not in owned:
+                return None
+            return routers[src].nics[live.fs.spec.in_port], live.conn.hops[0].vc
+
+        deposited = inject_due(self._injecting, now, target)
         self.dynamic_injected += deposited
         return deposited
 
@@ -257,9 +242,8 @@ class FabricEngine:
             if c < nxt:
                 nxt = c
         for live in self._injecting:
-            c = int(live.fs.spec.cycles[live.ptr]) + live.offset
-            if c < nxt:
-                nxt = c
+            if live.due < nxt:
+                nxt = live.due
         stride = self.spec.sample_stride
         next_sample = ((now + stride - 1) // stride) * stride
         if next_sample < nxt:
@@ -356,7 +340,6 @@ class FabricEngine:
         spec = fs.spec
         live.state = "active"
         live.conn = conn
-        live.offset = now
         self.stats.note_admitted(spec)
         hops = conn.num_hops - 1  # links traversed
         self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + 1
@@ -374,7 +357,7 @@ class FabricEngine:
         if live.attempt > 0:
             detail += f" alt_attempt={attempts}"
         self.event_log.record(now, "admit", spec.sid, detail)
-        if len(spec.cycles):
+        if arm_injection(live, spec, now):
             self._injecting.append(live)
         self._push(now + spec.hold_cycles, _STOP, live)
 
@@ -566,7 +549,9 @@ class StaticInjector:
     ) -> None:
         self.net = net
         self.conns = conns
-        self.schedules = schedules
+        # Python-list copies: the per-cycle cursor walk compares cached
+        # ints instead of allocating a numpy scalar per read.
+        self.schedules = [times.tolist() for times in schedules]
         self.pointers = [0] * len(conns)
         self.owned = owned
         self.injected = 0
@@ -596,7 +581,7 @@ class StaticInjector:
         for idx, times in enumerate(self.schedules):
             ptr = pointers[idx]
             if ptr < len(times):
-                c = int(times[ptr])
+                c = times[ptr]
                 if c < nxt:
                     nxt = c
         return nxt

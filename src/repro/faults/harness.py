@@ -161,7 +161,6 @@ class FaultySingleRouterSim(SingleRouterSim):
         injector = self.injector
         credits = router.credits
         vc_memory = router.vc_memory
-        occupancy = vc_memory.occupancy
         scheme_stateful = router.scheme_stateful
         pointers = [0] * config.num_ports
         counters_reset = control.warmup_cycles == 0
@@ -224,10 +223,10 @@ class FaultySingleRouterSim(SingleRouterSim):
             if engine is not None:
                 injected += engine.inject(now)
             # 2. Buffer faults, credit landing, counter watchdog.
-            injector.step_stuck(now, occupancy)
+            injector.step_stuck(now, vc_memory)
             credits.deliver(now)
             for action, port, vc, delta in self.credit_watchdog.scan(
-                now, occupancy
+                now, vc_memory
             ):
                 self._on_watchdog_event(
                     now, action, port, vc, delta, metrics, labels

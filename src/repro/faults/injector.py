@@ -10,6 +10,8 @@ decisions — the foundation of the reproducibility contract the
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..sim.metrics import FaultCounters
@@ -17,6 +19,9 @@ from . import integrity
 from .degradation import DegradationPolicy
 from .models import FaultConfig, FaultKind
 from .schedule import FaultSchedule
+
+if TYPE_CHECKING:
+    from ..router.vc_memory import VCMemory
 
 __all__ = ["FaultInjector"]
 
@@ -103,7 +108,7 @@ class FaultInjector:
     # Stuck VC buffer slots
     # ------------------------------------------------------------------
 
-    def step_stuck(self, now: int, occupancy: np.ndarray) -> None:
+    def step_stuck(self, now: int, vc_memory: VCMemory) -> None:
         """Release expired stuck slots; maybe pin a new one this cycle."""
         for key in [k for k, until in self._stuck.items() if until <= now]:
             del self._stuck[key]
@@ -115,10 +120,9 @@ class FaultInjector:
             return
         if float(self.rng.random()) >= cfg.stuck_slot_rate:
             return
-        ports, vcs = occupancy.shape
-        port = int(self.rng.integers(ports))
-        vc = int(self.rng.integers(vcs))
-        if occupancy[port, vc] == 0 or (port, vc) in self._stuck:
+        port = int(self.rng.integers(vc_memory.config.num_ports))
+        vc = int(self.rng.integers(vc_memory.config.vcs_per_link))
+        if vc_memory.occupancy_of(port, vc) == 0 or (port, vc) in self._stuck:
             return  # nothing to pin; the draw is spent either way
         self._stuck[(port, vc)] = now + cfg.stuck_duration
         self.schedule.record(

@@ -138,19 +138,21 @@ class MultiRouterNetwork:
             [StreamingStat() for _ in self.routers] if per_router_stats else None
         )
         # Inter-router credits: (router, out_port) -> per-VC counters at
-        # the *upstream* side mirroring the downstream buffer space.
-        self._link_credits: dict[tuple[int, int], np.ndarray] = {}
+        # the *upstream* side mirroring the downstream buffer space
+        # (plain int lists: the hot path reads and bumps one per flit).
+        self._link_credits: dict[tuple[int, int], list[int]] = {}
         # (router, out_port) -> (downstream router, downstream in_port)
         self._link_dest: dict[tuple[int, int], tuple[int, int]] = {}
         # (router, in_port) -> (upstream router, upstream out_port)
         self._upstream_of: dict[tuple[int, int], tuple[int, int]] = {}
         for (u, v), port in topology.port_map.items():
-            self._link_credits[(u, port)] = np.full(
-                config.vcs_per_link, config.vc_buffer_depth, dtype=np.int64
+            self._link_credits[(u, port)] = (
+                [config.vc_buffer_depth] * config.vcs_per_link
             )
             down_port = topology.port_map[(v, u)]
             self._link_dest[(u, port)] = (v, down_port)
             self._upstream_of[(v, down_port)] = (u, port)
+        self._degree = [topology.degree(r) for r in range(topology.num_routers)]
         # In-flight inter-router flits: arrival_cycle -> list of
         # (router, in_port, vc, gen_cycle, frame_id, frame_last).
         self._in_flight: dict[int, list[tuple[int, int, int, int, int, bool]]] = {}
@@ -159,6 +161,17 @@ class MultiRouterNetwork:
         self._connections: list[NetworkConnection] = []
         # (router, in_port, vc) -> (net_conn, hop_index)
         self._hop_lookup: dict[tuple[int, int, int], tuple[NetworkConnection, int]] = {}
+        # Per-router credit gate: (in_port, vc) -> (credit list of the
+        # hop's output link, downstream VC) for every hop that leaves
+        # over an inter-router link.  Written and popped together with
+        # ``_hop_lookup``; read by the eligibility step and the
+        # departure router.
+        self._gates: list[dict[tuple[int, int], tuple[list[int], int]]] = [
+            {} for _ in self.routers
+        ]
+        self._keeps = [
+            self._credit_keep(rid) for rid in range(topology.num_routers)
+        ]
         # (src, dst) -> shortest router path; cleared on any failure so
         # cached paths never route through dead elements.
         self._path_cache: dict[tuple[int, int], list[int]] = {}
@@ -325,12 +338,44 @@ class MultiRouterNetwork:
             avg_slots=avg_slots,
             peak_slots=peak_slots if peak_slots is not None else avg_slots,
         )
+        last = len(hops) - 1
         for hop_idx, conn in enumerate(hops):
-            self._hop_lookup[(path[hop_idx], conn.in_port, conn.vc)] = (
+            router_id = path[hop_idx]
+            self._hop_lookup[(router_id, conn.in_port, conn.vc)] = (
                 net_conn,
                 hop_idx,
             )
+            if hop_idx < last:
+                self._gates[router_id][(conn.in_port, conn.vc)] = (
+                    self._link_credits[(router_id, conn.out_port)],
+                    hops[hop_idx + 1].vc,
+                )
         return net_conn, -1
+
+    def _credit_keep(self, router_id: int):
+        """The eligibility rule of one router, for ``CandidateBuffer.retain``.
+
+        A candidate bound for a host port always passes (the sink always
+        drains); one bound for an inter-router link passes while its
+        downstream VC has a link credit.  A link-bound candidate with no
+        gate entry is ineligible.
+        """
+        gate = self._gates[router_id]
+        on_link = [
+            (router_id, port) in self._link_credits
+            for port in range(self.config.num_ports)
+        ]
+
+        def keep(in_port: int, vc: int, out_port: int) -> bool:
+            if not on_link[out_port]:
+                return True
+            entry = gate.get((in_port, vc))
+            if entry is None:  # pragma: no cover - defensive
+                return False
+            credits, down_vc = entry
+            return credits[down_vc] > 0
+
+        return keep
 
     @property
     def connections(self) -> list[NetworkConnection]:
@@ -406,25 +451,12 @@ class MultiRouterNetwork:
             return
         router.credits.deliver(now)
         buf = router._link_schedule_into(now)
-        link_credits = self._link_credits
-        hop_lookup = self._hop_lookup
-
-        def has_credit(in_port: int, vc: int, out_port: int) -> bool:
-            credits = link_credits.get((router_id, out_port))
-            if credits is None:
-                return True  # host-bound: the sink always drains
-            hop = hop_lookup.get((router_id, in_port, vc))
-            if hop is None:  # pragma: no cover - defensive
-                return False
-            net_conn, hop_idx = hop
-            return credits[net_conn.hops[hop_idx + 1].vc] > 0
-
-        buf.retain(has_credit)
+        buf.retain(self._keeps[router_id])
         grants = router.arbiter.match_buffer(buf, rng)
         departures = router.crossbar.transfer(grants, router.vc_memory, now)
         if router.scheme_stateful and departures:
             router.notify_service(departures, now)
-        degree = self.topology.degree(router_id)
+        degree = self._degree[router_id]
         for dep in departures:
             if dep.in_port < degree:
                 # Flit arrived over an inter-router link: return the
@@ -452,17 +484,16 @@ class MultiRouterNetwork:
                 cid = eject[0].net_conn_id
                 self.delivered_by_conn[cid] = self.delivered_by_conn.get(cid, 0) + 1
             return
-        hop = self._hop_lookup.get((router_id, dep.in_port, dep.vc))
+        entry = self._gates[router_id].get((dep.in_port, dep.vc))
         down_router, down_port = dest
-        if hop is None or down_router in self.dead_routers:
+        if entry is None or down_router in self.dead_routers:
             # The connection was torn down (or its next hop died) while
             # this flit was in the crossbar: it has nowhere to go.
             self.lost_flits += 1
             return
-        net_conn, hop_idx = hop
-        down_vc = net_conn.hops[hop_idx + 1].vc
-        self._link_credits[key][down_vc] -= 1
-        if self._link_credits[key][down_vc] < 0:
+        credits, down_vc = entry
+        credits[down_vc] -= 1
+        if credits[down_vc] < 0:
             raise RuntimeError("inter-router credit underflow")
         # One cycle of link traversal.
         if self._all_owned or down_router in self.owned:
@@ -592,6 +623,7 @@ class MultiRouterNetwork:
             router_id = path[hop_idx]
             router = self.routers[router_id]
             self._hop_lookup.pop((router_id, hop.in_port, hop.vc), None)
+            self._gates[router_id].pop((hop.in_port, hop.vc), None)
             _, dropped = router.force_teardown(hop.conn_id, restore_credits=False)
             self.lost_flits += dropped
             if hop_idx == 0:

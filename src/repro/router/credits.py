@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RouterConfig
+from .vc_memory import VCMemory
 
 __all__ = ["CreditState", "CreditWatchdog"]
 
@@ -373,12 +374,17 @@ class CreditWatchdog:
         self._attempts.pop(key, None)
         self._given_up.discard(key)
 
-    def scan(self, now: int, occupancy: np.ndarray) -> list[tuple[str, int, int, int]]:
+    def scan(
+        self, now: int, vc_memory: VCMemory
+    ) -> list[tuple[str, int, int, int]]:
         """One detection pass; returns ``(action, port, vc, delta)`` events.
 
-        Actions: ``"surplus_resync"``, ``"deficit_resync"``, ``"giveup"``.
+        Reads the router occupancy from ``vc_memory`` afresh on every
+        pass.  Actions: ``"surplus_resync"``, ``"deficit_resync"``,
+        ``"giveup"``.
         """
         credits = self.credits
+        occupancy = vc_memory.occupancy
         diff = credits.counters - credits.expected(occupancy)
         events: list[tuple[str, int, int, int]] = []
         if (diff == 0).all():

@@ -14,7 +14,7 @@ behind the paper's Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +24,13 @@ from .vc_memory import VCMemory
 __all__ = ["Departure", "Crossbar"]
 
 
-@dataclass(frozen=True, slots=True)
-class Departure:
-    """One flit forwarded through the crossbar this cycle."""
+class Departure(NamedTuple):
+    """One flit forwarded through the crossbar this cycle.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    forwarded flit, and tuple construction costs a fraction of the
+    dataclass's per-field ``object.__setattr__``.
+    """
 
     in_port: int
     vc: int
@@ -52,9 +56,6 @@ class Crossbar:
         # order of magnitude slower).  Exposed as arrays via properties.
         self._output_grants = [0] * n
         self._input_grants = [0] * n
-        # Preallocated conflict-check scratch (transfer runs every cycle).
-        self._in_used = [False] * n
-        self._out_used = [False] * n
 
     def transfer(
         self,
@@ -68,29 +69,29 @@ class Crossbar:
         must be conflict-free: each input port and each output port may
         appear at most once.  Returns the departures, in matching order.
         """
-        in_used = self._in_used
-        out_used = self._out_used
-        for i in range(self.config.num_ports):
-            in_used[i] = False
-            out_used[i] = False
+        # Ports used so far this cycle, as bitmasks: nothing to reset.
+        in_used = 0
+        out_used = 0
         departures: list[Departure] = []
+        output_grants = self._output_grants
+        input_grants = self._input_grants
         for in_port, vc, out_port in matching:
-            if in_used[in_port]:
+            if in_used >> in_port & 1:
                 raise ValueError(
                     f"conflicting matching: input port {in_port} matched twice"
                 )
-            if out_used[out_port]:
+            if out_used >> out_port & 1:
                 raise ValueError(
                     f"conflicting matching: output port {out_port} matched twice"
                 )
-            in_used[in_port] = True
-            out_used[out_port] = True
+            in_used |= 1 << in_port
+            out_used |= 1 << out_port
             gen, arrival, frame_id, frame_last = vc_memory.pop(in_port, vc)
             departures.append(
                 Departure(in_port, vc, out_port, gen, arrival, frame_id, frame_last)
             )
-            self._output_grants[out_port] += 1
-            self._input_grants[in_port] += 1
+            output_grants[out_port] += 1
+            input_grants[in_port] += 1
         self.total_grants += len(departures)
         self.cycles += 1
         return departures

@@ -274,22 +274,16 @@ class MMRouter:
 
     def _link_schedule_into(self, now: int) -> CandidateBuffer:
         """Buffer-path link scheduling into the preallocated buffer."""
-        if self.scheme.integer_valued:
-            occ_mask, heads_q = self.vc_memory.occupancy_state()
-            return self.link_scheduler.select_into_sparse(
-                self._cand_buf,
-                occ_mask,
-                heads_q,
-                self._slots,
-                self._dest,
-                now,
-                self._reserved,
-                state_version=self._conn_version,
-            )
-        heads = self.vc_memory.sched_view()
-        return self.link_scheduler.select_into(
+        occ_mask, heads_q = self.vc_memory.occupancy_state()
+        select = (
+            self.link_scheduler.select_into_sparse
+            if self.scheme.integer_valued
+            else self.link_scheduler.select_into
+        )
+        return select(
             self._cand_buf,
-            heads,
+            occ_mask,
+            heads_q,
             self._slots,
             self._dest,
             now,
@@ -298,12 +292,15 @@ class MMRouter:
         )
 
     def _accept_from_nics(self, now: int) -> None:
+        credits = self.credits
         for port, nic in enumerate(self.nics):
-            vc = nic.select(self.credits.mask_for(port))
+            if not nic._mask:
+                continue  # no backlog: select would find nothing
+            vc = nic.select(credits.mask_for(port))
             if vc < 0:
                 continue
             gen_cycle, frame_id, frame_last = nic.pop(vc)
-            self.credits.consume(port, vc)
+            credits.consume(port, vc)
             self.vc_memory.push(port, vc, gen_cycle, frame_id, frame_last, now)
 
     # ------------------------------------------------------------------

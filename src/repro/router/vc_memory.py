@@ -14,9 +14,11 @@ Two layers live here:
   interleaving scheme is conflict-free for the access patterns the router
   generates, and to feed the hardware-cost model.
 * :class:`VCMemory` — the functional, cycle-accurate buffer state used by
-  the simulator.  All flit metadata is held in preallocated numpy ring
-  buffers indexed ``[port, vc, slot]``; the hot path performs no Python
-  object allocation.
+  the simulator.  Every VC is a pair of plain Python deques (flit
+  metadata and arrival cycles) plus one bit of an occupancy mask, so a
+  push or pop touches no numpy scalar.  The dense ``(ports, vcs)``
+  arrays of :meth:`VCMemory.occupancy` and the head views are snapshots
+  built on demand for vectorized readers, tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -80,14 +82,15 @@ class InterleavedRam:
 
 
 class HeadView:
-    """Read-only vectorized view of every VC's head flit on one port.
+    """Vectorized view of every VC's head flit on one port.
 
-    Exposed by :meth:`VCMemory.heads`; consumed by the link scheduler,
-    which needs, per VC: occupancy, head generation cycle and head arrival
-    cycle (for priority biasing).  Arrays are length ``vcs_per_link`` and
-    only valid where ``occupancy > 0``.  ``gen_cycle`` is ``None`` on the
-    lean scheduling view (:meth:`VCMemory.sched_view`), which skips the
-    gather the link scheduler never reads.
+    Exposed by :meth:`VCMemory.heads`; consumed by the object reference
+    pipeline (``LinkScheduler.select_batch``), which needs, per VC:
+    occupancy, head generation cycle and head arrival cycle (for priority
+    biasing).  Arrays are length ``vcs_per_link`` snapshots, zero where
+    ``occupancy == 0``.  ``gen_cycle`` is ``None`` on the lean scheduling
+    view (:meth:`VCMemory.sched_view`), which skips the generation
+    cycles the link scheduler never reads.
     """
 
     __slots__ = ("occupancy", "gen_cycle", "arrival_cycle")
@@ -106,38 +109,28 @@ class HeadView:
 class VCMemory:
     """Cycle-accurate virtual-channel buffer state for all input ports.
 
-    Ring buffers of depth ``config.vc_buffer_depth`` hold, per flit:
-    generation cycle, arrival cycle (when it entered this memory — the
-    queuing-delay clock for priority biasing), application frame id and a
-    last-flit-of-frame flag.
+    Each VC holds up to ``config.vc_buffer_depth`` flits.  Per flit it
+    keeps the generation cycle, the arrival cycle (when it entered this
+    memory — the queuing-delay clock for priority biasing), the
+    application frame id and a last-flit-of-frame flag.  VCs are indexed
+    by the flat position ``f = port * vcs_per_link + vc``.
     """
 
     def __init__(self, config: RouterConfig) -> None:
         n, v, b = config.num_ports, config.vcs_per_link, config.vc_buffer_depth
         self._depth = b
-        shape = (n, v, b)
-        self._gen = np.zeros(shape, dtype=np.int64)
-        self._arr = np.zeros(shape, dtype=np.int64)
-        self._frame = np.full(shape, -1, dtype=np.int64)
-        self._last = np.zeros(shape, dtype=bool)
-        self._head = np.zeros((n, v), dtype=np.int64)
-        self._len = np.zeros((n, v), dtype=np.int64)
-        # Preallocated index grids for the head-view gathers (hot path:
-        # heads_all runs every flit cycle; rebuilding aranges there shows
-        # up in the profile).
-        self._vc_idx = np.arange(v)
-        self._ports_grid = np.arange(n)[:, None]
-        self._vcs_grid = self._vc_idx[None, :]
+        self._num_ports = n
         self._num_vcs = v
-        # Python-native mirror of each VC's queued arrival cycles (one
-        # deque per flat port * vcs + vc index), maintained by push/pop.
-        # occupied_heads reads head arrivals from here: a deque [0] costs
-        # nanoseconds where the equivalent numpy scalar gather costs a
-        # microsecond, and reads outnumber push/pop several-fold.
+        # Per-VC flit queues of (gen_cycle, frame_id, frame_last).
+        self._q: list[deque[tuple[int, int, bool]]] = [
+            deque() for _ in range(n * v)
+        ]
+        # Arrival cycles, queued in step with ``_q``.  Kept apart because
+        # the sparse scheduling fill reads head arrivals (``[0]``) far
+        # more often than push/pop run (see occupancy_state).
         self._arr_q: list[deque[int]] = [deque() for _ in range(n * v)]
-        # Bitmask of occupied VCs over the flat (port * vcs + vc) index;
-        # maintained by push/pop so occupied_heads never scans the
-        # occupancy array.
+        # Bitmask of occupied VCs over the flat index, maintained by
+        # push/pop so readers walk occupied VCs without scanning.
         self._occ_mask = 0
         self.config = config
         self.ram = InterleavedRam(v, b)
@@ -161,43 +154,30 @@ class VCMemory:
         buffer; a full buffer here therefore indicates a flow-control bug
         and is an error, mirroring the MMR's loss-free design.
         """
-        length = self._len[port, vc]
-        if length >= self._depth:
+        f = port * self._num_vcs + vc
+        q = self._q[f]
+        if len(q) >= self._depth:
             raise OverflowError(
                 f"VC buffer overflow at port {port} vc {vc}: flow control "
                 "must prevent pushes to a full buffer"
             )
-        slot = (self._head[port, vc] + length) % self._depth
-        self._gen[port, vc, slot] = gen_cycle
-        self._arr[port, vc, slot] = now
-        self._frame[port, vc, slot] = frame_id
-        self._last[port, vc, slot] = frame_last
-        self._len[port, vc] = length + 1
-        f = port * self._num_vcs + vc
-        self._occ_mask |= 1 << f
+        q.append((gen_cycle, frame_id, frame_last))
         self._arr_q[f].append(now)
+        self._occ_mask |= 1 << f
 
     def pop(self, port: int, vc: int) -> tuple[int, int, int, bool]:
         """Remove and return the head flit of (port, vc).
 
         Returns ``(gen_cycle, arrival_cycle, frame_id, frame_last)``.
         """
-        length = self._len[port, vc]
-        if length == 0:
-            raise IndexError(f"pop from empty VC buffer port {port} vc {vc}")
-        slot = self._head[port, vc]
         f = port * self._num_vcs + vc
-        out = (
-            int(self._gen[port, vc, slot]),
-            self._arr_q[f].popleft(),
-            int(self._frame[port, vc, slot]),
-            bool(self._last[port, vc, slot]),
-        )
-        self._head[port, vc] = (slot + 1) % self._depth
-        self._len[port, vc] = length - 1
-        if length == 1:
+        q = self._q[f]
+        if not q:
+            raise IndexError(f"pop from empty VC buffer port {port} vc {vc}")
+        gen, frame_id, frame_last = q.popleft()
+        if not q:
             self._occ_mask &= ~(1 << f)
-        return out
+        return gen, self._arr_q[f].popleft(), frame_id, frame_last
 
     def is_empty(self) -> bool:
         """True when no VC on any port holds a flit (bitmask read).
@@ -207,52 +187,62 @@ class VCMemory:
         """
         return not self._occ_mask
 
-    def heads(self, port: int) -> HeadView:
-        """Vectorized head-flit view for one input port (see HeadView)."""
-        head = self._head[port]
-        idx = self._vc_idx
+    # ------------------------------------------------------------------
+    # On-demand dense views (vectorized readers, tests, diagnostics)
+    # ------------------------------------------------------------------
+
+    def _dense(self, with_gen: bool) -> HeadView:
+        """(ports, vcs) snapshot of occupancy and head-flit cycles."""
+        size = self._num_ports * self._num_vcs
+        occ = np.zeros(size, dtype=np.int64)
+        gen = np.zeros(size, dtype=np.int64) if with_gen else None
+        arr = np.zeros(size, dtype=np.int64)
+        flat, arrivals = self.occupied_heads()
+        if flat:
+            qs = self._q
+            occ[flat] = [len(qs[f]) for f in flat]
+            arr[flat] = arrivals
+            if gen is not None:
+                gen[flat] = [qs[f][0][0] for f in flat]
+        shape = (self._num_ports, self._num_vcs)
         return HeadView(
-            occupancy=self._len[port],
-            gen_cycle=self._gen[port, idx, head],
-            arrival_cycle=self._arr[port, idx, head],
+            occupancy=occ.reshape(shape),
+            gen_cycle=None if gen is None else gen.reshape(shape),
+            arrival_cycle=arr.reshape(shape),
+        )
+
+    def heads(self, port: int) -> HeadView:
+        """Head-flit view for one input port (see HeadView)."""
+        view = self._dense(with_gen=True)
+        return HeadView(
+            occupancy=view.occupancy[port],
+            gen_cycle=view.gen_cycle[port],
+            arrival_cycle=view.arrival_cycle[port],
         )
 
     def heads_all(self) -> HeadView:
-        """Head-flit view across all ports at once (hot path).
+        """Head-flit view across all ports at once, shaped (ports, vcs).
 
-        Arrays are shaped (ports, vcs).  Equivalent to stacking
-        :meth:`heads` over every port; the batched form lets the link
-        scheduler evaluate the whole router in a handful of vector ops.
+        Equivalent to stacking :meth:`heads` over every port; the object
+        reference pipeline (``select_batch``) evaluates the whole router
+        from it in a handful of vector ops.
         """
-        ports, vcs = self._ports_grid, self._vcs_grid
-        return HeadView(
-            occupancy=self._len,
-            gen_cycle=self._gen[ports, vcs, self._head],
-            arrival_cycle=self._arr[ports, vcs, self._head],
-        )
+        return self._dense(with_gen=True)
 
     def sched_view(self) -> HeadView:
-        """Like :meth:`heads_all` but without the generation-cycle gather.
+        """Like :meth:`heads_all` without the generation cycles.
 
         The link scheduler reads only occupancy and head arrival cycles;
-        skipping the unused ``gen_cycle`` gather saves an allocation per
-        flit cycle on the hot path.  ``gen_cycle`` is ``None`` here.
+        ``gen_cycle`` is ``None`` here.
         """
-        return HeadView(
-            occupancy=self._len,
-            gen_cycle=None,
-            arrival_cycle=self._arr[self._ports_grid, self._vcs_grid, self._head],
-        )
+        return self._dense(with_gen=False)
 
     def occupied_heads(self) -> tuple[list[int], list[int]]:
         """Sparse head view: occupied VCs and their head arrival cycles.
 
         Returns ``(flat, arrivals)`` as plain Python lists, where
         ``flat[j] = port * vcs_per_link + vc`` indexes the j-th occupied
-        VC and ``arrivals[j]`` is its head flit's arrival cycle.  The
-        sparse form is the integer hot path's input: at realistic
-        occupancies gathering a handful of heads beats materializing the
-        full (ports, vcs) view of :meth:`sched_view`.
+        VC and ``arrivals[j]`` is its head flit's arrival cycle.
         """
         m = self._occ_mask
         if not m:
@@ -269,14 +259,15 @@ class VCMemory:
         return flat, arrivals
 
     def occupancy_state(self) -> tuple[int, list[deque[int]]]:
-        """Zero-copy occupancy snapshot for the sparse scheduling fill.
+        """Zero-copy occupancy snapshot for the scheduling fills.
 
         Returns ``(mask, heads_q)``: bit ``f = port * vcs_per_link + vc``
-        of ``mask`` is set iff that VC is occupied, and ``heads_q[f][0]``
-        is its head flit's arrival cycle.  ``heads_q`` aliases live
-        internal state — callers must consume it before the next
-        push/pop, not store it.  This is :meth:`occupied_heads` without
-        the intermediate lists; the link scheduler walks the mask itself.
+        of ``mask`` is set iff that VC is occupied, ``heads_q[f][0]`` is
+        its head flit's arrival cycle and ``len(heads_q[f])`` its flit
+        count.  ``heads_q`` aliases live internal state — callers must
+        consume it before the next push/pop, not store it.  This is
+        :meth:`occupied_heads` without the intermediate lists; the link
+        scheduler walks the mask itself.
         """
         return self._occ_mask, self._arr_q
 
@@ -286,21 +277,33 @@ class VCMemory:
 
     @property
     def occupancy(self) -> np.ndarray:
-        """(ports, vcs) array of buffered flit counts (read-only view)."""
-        view = self._len.view()
+        """(ports, vcs) array of buffered flit counts.
+
+        A read-only *snapshot* built on each access: it does not follow
+        later pushes and pops, so read it again every cycle rather than
+        holding on to it.  Per-VC hot loops use :meth:`occupancy_of`.
+        """
+        view = self._dense(with_gen=False).occupancy
         view.flags.writeable = False
         return view
 
     def occupancy_of(self, port: int, vc: int) -> int:
-        return int(self._len[port, vc])
+        return len(self._q[port * self._num_vcs + vc])
 
     def free_space(self, port: int, vc: int) -> int:
-        return self._depth - int(self._len[port, vc])
+        return self._depth - len(self._q[port * self._num_vcs + vc])
 
     def total_flits(self) -> int:
         """Total flits currently buffered in the router."""
-        return int(self._len.sum())
+        qs = self._q
+        total = 0
+        m = self._occ_mask
+        while m:
+            low = m & -m
+            total += len(qs[low.bit_length() - 1])
+            m ^= low
+        return total
 
     def head_arrival(self, port: int, vc: int) -> int:
         """Arrival cycle of the head flit (caller must check occupancy)."""
-        return int(self._arr[port, vc, self._head[port, vc]])
+        return self._arr_q[port * self._num_vcs + vc][0]

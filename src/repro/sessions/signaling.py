@@ -184,18 +184,79 @@ _TEARDOWN = 2
 _RENEG = 3
 
 
+def arm_injection(live, spec: SessionSpec, now: int) -> bool:
+    """Start a session's injection cursor at admission instant ``now``.
+
+    ``live`` is a session-state object with ``offset``/``ptr``/``due``/
+    ``sched`` slots.  The schedule is copied to Python lists (a cursor
+    walk then compares cached ints instead of allocating numpy scalars)
+    and ``due`` caches the absolute cycle of the next flit.  Returns
+    ``False`` for an empty schedule, which never injects.
+    """
+    live.offset = now
+    if not len(spec.cycles):
+        return False
+    live.sched = (
+        spec.cycles.tolist(), spec.frame_ids.tolist(), spec.frame_last.tolist()
+    )
+    live.due = live.sched[0][0] + now
+    return True
+
+
+def inject_due(injecting: list, now: int, target) -> int:
+    """Deposit every flit due by ``now`` of every injecting session.
+
+    Walks ``injecting`` in order, compacting away sessions whose schedule
+    is exhausted; a session not yet due costs one int compare.
+    ``target(live)`` names the ``(nic, vc)`` to deposit into, or ``None``
+    to advance the cursor without depositing.  Returns the number of
+    flits the cursors advanced over.
+    """
+    keep = 0
+    advanced = 0
+    for live in injecting:
+        if live.due > now:
+            injecting[keep] = live
+            keep += 1
+            continue
+        cycles, frame_ids, frame_last = live.sched
+        end = len(cycles)
+        ptr = start = live.ptr
+        off = live.offset
+        dest = target(live)
+        while ptr < end and cycles[ptr] + off <= now:
+            if dest is not None:
+                dest[0].inject(
+                    dest[1], cycles[ptr] + off, frame_ids[ptr], frame_last[ptr]
+                )
+            ptr += 1
+        advanced += ptr - start
+        live.ptr = ptr
+        if ptr < end:
+            live.due = cycles[ptr] + off
+            injecting[keep] = live
+            keep += 1
+        else:
+            live.sched = None
+    del injecting[keep:]
+    return advanced
+
+
 class _LiveSession:
     """Runtime state of one timeline session."""
 
-    __slots__ = ("spec", "state", "conn", "offset", "ptr", "attempts")
+    __slots__ = ("spec", "state", "conn", "offset", "ptr", "due", "sched", "attempts")
 
     def __init__(self, spec: SessionSpec) -> None:
         self.spec = spec
         self.state = "setup"
         self.conn: Connection | None = None
-        #: Admission instant; injection schedule offset.
+        #: Injection cursor (see arm_injection): admission instant,
+        #: next schedule index, its absolute cycle, list schedule.
         self.offset = 0
         self.ptr = 0
+        self.due = 0
+        self.sched: tuple[list[int], list[int], list[bool]] | None = None
         #: Setup attempts that have timed out so far (control plane).
         self.attempts = 0
 
@@ -376,32 +437,11 @@ class SessionEngine:
         keep its exact conservation check (the healthy loop ignores it).
         """
         nics = self._router.nics
-        lst = self._injecting
-        keep = 0
-        deposited = 0
-        for live in lst:
-            spec = live.spec
-            cycles = spec.cycles
-            end = len(cycles)
-            ptr = live.ptr
-            off = live.offset
-            nic = nics[spec.in_port]
-            vc = live.conn.vc
-            while ptr < end and cycles[ptr] + off <= now:
-                nic.inject(
-                    vc,
-                    int(cycles[ptr] + off),
-                    int(spec.frame_ids[ptr]),
-                    bool(spec.frame_last[ptr]),
-                )
-                ptr += 1
-            deposited += ptr - live.ptr
-            live.ptr = ptr
-            if ptr < end:
-                lst[keep] = live
-                keep += 1
-        del lst[keep:]
-        return deposited
+        return inject_due(
+            self._injecting,
+            now,
+            lambda live: (nics[live.spec.in_port], live.conn.vc),
+        )
 
     def next_event_cycle(self, now: int) -> int:
         """Earliest cycle >= ``now`` where :meth:`on_cycle` or
@@ -434,11 +474,8 @@ class SessionEngine:
             if c < nxt:
                 nxt = c
         for live in self._injecting:
-            cycles = live.spec.cycles
-            if live.ptr < len(cycles):
-                c = int(cycles[live.ptr]) + live.offset
-                if c < nxt:
-                    nxt = c
+            if live.due < nxt:
+                nxt = live.due
         return nxt if nxt > now else now
 
     def on_departures(self, now: int, departures) -> None:
@@ -530,7 +567,6 @@ class SessionEngine:
         spec = live.spec
         live.state = "active"
         live.conn = conn
-        live.offset = now
         self._live_by_conn[conn.conn_id] = live
         self.stats.note_admitted(spec)
         detail = (
@@ -546,7 +582,7 @@ class SessionEngine:
         if self._telemetry is not None:
             self._telemetry.register_connection(conn, spec.cls_name)
         self._track_deadline(conn)
-        if len(spec.cycles):
+        if arm_injection(live, spec, now):
             self._injecting.append(live)
         sig = self.spec.signaling
         self._push(now + spec.hold_cycles, _STOP, live)

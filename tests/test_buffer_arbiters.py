@@ -53,7 +53,7 @@ def fill_random(cfg, mem, sched, rng, steps=150):
         elif mem.occupancy_of(p, vc):
             mem.pop(p, vc)
     buf = CandidateBuffer(n, cfg.candidate_levels)
-    sched.select_into(buf, mem.heads_all(), slots, dests, now, reserved)
+    sched.select_into(buf, *mem.occupancy_state(), slots, dests, now, reserved)
     cands = sched.select_batch(
         mem.heads_all(), slots, dests, now,
         np.where(reserved, RESERVED_SCALE, 1.0),
@@ -120,7 +120,7 @@ class TestCoaVariants:
             for vc in range(3):
                 mem.push(p, vc, 0, -1, False, 0)
         buf = CandidateBuffer(n, cfg.candidate_levels)
-        sched.select_into(buf, mem.heads_all(), slots, dests, now)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, now)
         cands = sched.select_batch(mem.heads_all(), slots, dests, now)
         arb = CandidateOrderArbiter(
             cfg.num_ports, cfg.candidate_levels, ordering, arbitration
@@ -166,7 +166,7 @@ class TestDrainRecoveryOccupancies:
                     p, vc = int(rng.integers(n)), int(rng.integers(v))
                     if mem.free_space(p, vc):
                         mem.push(p, vc, now, -1, False, now)
-            sched.select_into(buf, mem.heads_all(), slots, dests, now)
+            sched.select_into(buf, *mem.occupancy_state(), slots, dests, now)
             cands = sched.select_batch(mem.heads_all(), slots, dests, now)
             assert_draw_for_draw(arb, arb, cands, buf, round_idx)
 

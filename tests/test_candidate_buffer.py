@@ -88,7 +88,7 @@ class TestFillEquivalence:
                 mem.heads_all(), slots, dests, now, scale
             )
             sched.select_into(
-                buf, mem.heads_all(), slots, dests, now, reserved
+                buf, *mem.occupancy_state(), slots, dests, now, reserved
             )
             assert buf.to_candidates() == batch
 
@@ -97,7 +97,7 @@ class TestFillEquivalence:
         buf = CandidateBuffer(cfg.num_ports, cfg.candidate_levels)
         slots = np.ones((cfg.num_ports, cfg.vcs_per_link), dtype=np.int64)
         dests = np.zeros_like(slots)
-        sched.select_into(buf, mem.heads_all(), slots, dests, 5)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, 5)
         assert buf.total() == 0
         assert buf.to_candidates() == [[] for _ in range(cfg.num_ports)]
         assert buf.sparse_valid and all(not row for row in buf.sparse)
@@ -110,7 +110,7 @@ class TestSparseTwin:
         rng = np.random.default_rng(11)
         slots, dests, reserved = conn_arrays(cfg, rng)
         now = random_occupancy(mem, cfg, rng)
-        sched.select_into(buf, mem.heads_all(), slots, dests, now, reserved)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, now, reserved)
         assert buf.sparse_valid
         for p in range(cfg.num_ports):
             row = buf.sparse[p]
@@ -127,7 +127,7 @@ class TestSparseTwin:
         slots = np.full((2, 4), 7, dtype=np.int64)
         dests = np.ones((2, 4), dtype=np.int64)
         mem.push(0, 2, 0, -1, False, 0)
-        sched.select_into(buf, mem.heads_all(), slots, dests, 3)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, 3)
         # First read triggers the sync.
         assert int(buf.count[0]) == 1 and int(buf.count[1]) == 0
         assert int(buf.vc[0, 0]) == 2
@@ -135,7 +135,7 @@ class TestSparseTwin:
         # Refill with different state; arrays must follow.
         mem.pop(0, 2)
         mem.push(1, 3, 0, -1, False, 4)
-        sched.select_into(buf, mem.heads_all(), slots, dests, 6)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, 6)
         assert int(buf.count[0]) == 0 and int(buf.count[1]) == 1
         assert int(buf.vc[1, 0]) == 3
 
@@ -147,9 +147,9 @@ class TestSparseTwin:
         rng = np.random.default_rng(5)
         slots, dests, reserved = conn_arrays(cfg, rng)
         now = random_occupancy(mem, cfg, rng)
-        sched_i.select_into(buf, mem.heads_all(), slots, dests, now, reserved)
+        sched_i.select_into(buf, *mem.occupancy_state(), slots, dests, now, reserved)
         assert buf.sparse_valid and buf.integer_keys
-        sched_f.select_into(buf, mem.heads_all(), slots, dests, now, reserved)
+        sched_f.select_into(buf, *mem.occupancy_state(), slots, dests, now, reserved)
         assert not buf.sparse_valid and not buf.integer_keys
         # And the float fill's arrays agree with the float object path.
         batch = sched_f.select_batch(
@@ -184,7 +184,7 @@ class TestExactPriorities:
         dests = np.zeros((1, 4), dtype=np.int64)
         mem.push(0, 0, 0, -1, False, 0)
         mem.push(0, 1, 0, -1, False, 0)
-        sched.select_into(buf, mem.heads_all(), slots, dests, 1)
+        sched.select_into(buf, *mem.occupancy_state(), slots, dests, 1)
         assert int(buf.vc[0, 0]) == 1  # the +1 key outranks
         assert int(buf.vc[0, 1]) == 0
         assert buf.priority_of(0, 0) == hi
@@ -198,6 +198,6 @@ class TestExactPriorities:
         dests = np.zeros((1, 2), dtype=np.int64)
         mem.push(0, 0, 0, -1, False, 0)
         with pytest.raises(OverflowError):
-            sched.select_into(buf, mem.heads_all(), slots, dests, 1)
+            sched.select_into(buf, *mem.occupancy_state(), slots, dests, 1)
         with pytest.raises(OverflowError):
             sched.select_batch(mem.heads_all(), slots, dests, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.candidates import CandidateBuffer
 from repro.core.coa import CandidateOrderArbiter
 from repro.core.matching import Candidate, is_conflict_free, is_maximal
 
@@ -104,17 +105,83 @@ class TestBehaviour:
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("ordering", ["level_conflict", "level_only",
-                                          "conflict_only", "random"])
-    @pytest.mark.parametrize("arbitration", ["priority", "random"])
-    def test_fast_path_matches_selection_matrix_path(self, ordering, arbitration):
-        coa = CandidateOrderArbiter(4, 4, ordering, arbitration)
+    """``match``, ``match_reference`` and both ``match_buffer`` fills
+    agree on the grants and leave the rng in the same state."""
+
+    @pytest.mark.parametrize("ordering,arbitration,ports,levels,max_total", [
+        # The paper router with dense random fills (ids as before), then
+        # the fabric router with 0-3 candidates per cycle crowded onto two
+        # outputs, so rows hold several requests and 0/1-candidate cycles
+        # (the bypass) are common.
+        pytest.param(o, a, *shape, id=f"{a}-{o}{tag}")
+        for tag, shape in (("", (4, 4, None)), ("-6x4-sparse", (6, 4, 3)))
+        for a in ("priority", "random")
+        for o in ("level_conflict", "level_only", "conflict_only", "random")
+    ])
+    def test_fast_path_matches_selection_matrix_path(
+        self, ordering, arbitration, ports, levels, max_total
+    ):
+        coa = CandidateOrderArbiter(ports, levels, ordering, arbitration)
         generator = rng(7)
-        for trial in range(100):
-            cands = _random_candidates(generator, 4, 4, tie_heavy=True)
-            fast = coa.match(cands, rng(trial))
-            reference = coa.match_reference(cands, rng(trial))
-            assert fast == reference
+        for trial in range(150):
+            if max_total is None:
+                cands = _random_candidates(generator, ports, levels,
+                                           tie_heavy=True)
+            else:
+                cands = _sparse_candidates(generator, ports, levels, max_total)
+            runs = []
+            for match in (coa.match, coa.match_reference,
+                          _sparse_match(coa), _array_match(coa)):
+                stream = rng(trial)
+                runs.append((match(cands, stream),
+                             stream.bit_generator.state))
+            assert all(run == runs[0] for run in runs[1:])
+
+
+def _buffer_of(cands, ports, levels):
+    buf = CandidateBuffer(ports, levels)
+    for p, port_cands in enumerate(cands):
+        buf.sparse[p][:] = [(int(c.priority), c.vc, c.out_port)
+                            for c in port_cands]
+    buf.mark_sparse_filled()
+    return buf
+
+
+def _sparse_match(coa):
+    def match(cands, stream):
+        return coa.match_buffer(
+            _buffer_of(cands, coa.num_ports, coa.levels), stream
+        )
+    return match
+
+
+def _array_match(coa):
+    def match(cands, stream):
+        buf = _buffer_of(cands, coa.num_ports, coa.levels)
+        buf.count  # materialize the arrays, then drop the sparse rows
+        buf.mark_array_filled(integer_keys=True)
+        return coa.match_buffer(buf, stream)
+    return match
+
+
+def _sparse_candidates(generator, n, levels, max_total):
+    """0..max_total candidates in all, outputs drawn from {0, 1}."""
+    out = [[] for _ in range(n)]
+    for _ in range(int(generator.integers(0, max_total + 1))):
+        p = int(generator.integers(n))
+        level = len(out[p])
+        if level == levels:
+            continue
+        out[p].append(Candidate(p, level, int(generator.integers(2)),
+                                int(generator.integers(1, 4)), level))
+    for port_cands in out:
+        # Levels rank by priority, highest first, as the link scheduler
+        # emits them.
+        port_cands.sort(key=lambda c: -c.priority)
+        port_cands[:] = [Candidate(c.in_port, c.vc, c.out_port, c.priority,
+                                   level)
+                         for level, c in enumerate(port_cands)]
+    return out
 
 
 def _random_candidates(generator, n, levels, tie_heavy=False):

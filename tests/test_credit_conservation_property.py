@@ -28,6 +28,16 @@ from repro.traffic.mixes import build_besteffort_workload, build_cbr_workload
 PORTS, VCS, DEPTH, DELAY = 2, 4, 3, 2
 
 
+class ArrayOccupancy:
+    """Stands in for the VCMemory the watchdog reads, over a plain array."""
+
+    def __init__(self, occupancy):
+        self.occupancy = occupancy
+
+    def occupancy_of(self, port, vc):
+        return int(self.occupancy[port, vc])
+
+
 def make_state() -> CreditState:
     cfg = RouterConfig(
         num_ports=PORTS,
@@ -57,7 +67,7 @@ def test_ledger_invariant_every_cycle(seed, cycles, loss_rate, dup_rate, resync_
         state.deliver(now)
         # The watchdog repairs drift exactly as the harness does: surplus
         # immediately, deficits after their timeout.
-        watchdog.scan(now, occupancy)
+        watchdog.scan(now, ArrayOccupancy(occupancy))
         for port in range(PORTS):
             for vc in range(VCS):
                 # Crossbar side: an occupied VC may send its head flit.

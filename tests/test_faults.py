@@ -34,6 +34,16 @@ from repro.sim.experiments import default_config
 from repro.traffic.mixes import build_besteffort_workload, build_cbr_workload
 
 
+class ArrayOccupancy:
+    """Stands in for the VCMemory the watchdog reads, over a plain array."""
+
+    def __init__(self, occupancy):
+        self.occupancy = occupancy
+
+    def occupancy_of(self, port, vc):
+        return int(self.occupancy[port, vc])
+
+
 def make_sim(seed=0, faults=None, vcs=8, ports=4):
     config = default_config(num_ports=ports, vcs_per_link=vcs)
     return FaultySingleRouterSim(config, seed=seed, faults=faults)
@@ -215,8 +225,8 @@ class TestCreditWatchdogUnit:
         state.consume(0, 1)
         occ_now = occ.copy()
         state.fault_lose(0, 1)  # flit left, credit destroyed
-        assert dog.scan(10, occ_now) == []  # grace period
-        events = dog.scan(14, occ_now)
+        assert dog.scan(10, ArrayOccupancy(occ_now)) == []  # grace period
+        events = dog.scan(14, ArrayOccupancy(occ_now))
         assert events == [("deficit_resync", 0, 1, 1)]
         assert state.available(0, 1) == 3
         state.check_conservation(occ_now)
@@ -228,21 +238,21 @@ class TestCreditWatchdogUnit:
         # First deficit: resync after timeout=2.
         state.consume(0, 0)
         state.fault_lose(0, 0)
-        dog.scan(now, occ)
-        events = dog.scan(now + 2, occ)
+        dog.scan(now, ArrayOccupancy(occ))
+        events = dog.scan(now + 2, ArrayOccupancy(occ))
         assert events[0][0] == "deficit_resync"
         # Second deficit on the same VC: backoff doubles the wait.
         state.consume(0, 0)
         state.fault_lose(0, 0)
-        assert dog.scan(10, occ) == []
-        assert dog.scan(12, occ) == []  # 2 * 2**1 = 4 cycles now
-        events = dog.scan(14, occ)
+        assert dog.scan(10, ArrayOccupancy(occ)) == []
+        assert dog.scan(12, ArrayOccupancy(occ)) == []  # 2 * 2**1 = 4 cycles now
+        events = dog.scan(14, ArrayOccupancy(occ))
         assert events == [("giveup", 0, 0, 0)]
         # Given-up VCs stay quiet until reset.
-        assert dog.scan(30, occ) == []
+        assert dog.scan(30, ArrayOccupancy(occ)) == []
         dog.reset(0, 0)
-        dog.scan(31, occ)
-        assert dog.scan(40, occ)[0][0] == "deficit_resync"
+        dog.scan(31, ArrayOccupancy(occ))
+        assert dog.scan(40, ArrayOccupancy(occ))[0][0] == "deficit_resync"
 
     def test_surplus_resyncs_immediately_after_landing(self):
         state, occ = self._state()
@@ -252,9 +262,9 @@ class TestCreditWatchdogUnit:
         state.fault_duplicate(1, 2, now=0)
         # While the duplicate is still on the wire there is no visible
         # drift — the counter matches what a healthy NIC would show.
-        assert dog.scan(0, occ) == []
+        assert dog.scan(0, ArrayOccupancy(occ)) == []
         state.deliver(1)  # duplicate lands, counter now inflated
-        events = dog.scan(1, occ)
+        events = dog.scan(1, ArrayOccupancy(occ))
         assert events and events[0][0] == "surplus_resync"
         state.check_conservation(occ)
 

@@ -8,6 +8,8 @@ from repro.core.priorities import SIABP, StaticPriority
 from repro.router.config import RouterConfig
 from repro.router.vc_memory import VCMemory
 
+from .link_scheduler_oracle import select_all, select_port
+
 
 def make(vcs=8, levels=4, ports=2):
     cfg = RouterConfig(num_ports=ports, vcs_per_link=vcs,
@@ -26,7 +28,7 @@ class TestSelectPort:
     def test_empty_port_yields_no_candidates(self):
         cfg, mem, sched = make()
         slots, dests = arrays(cfg)
-        assert sched.select_port(0, mem.heads(0), slots[0], dests[0], now=5) == []
+        assert select_port(sched, 0, mem.heads(0), slots[0], dests[0], now=5) == []
 
     def test_ranks_by_biased_priority(self):
         cfg, mem, sched = make()
@@ -36,7 +38,7 @@ class TestSelectPort:
         slots[0, 1], dests[0, 1] = 1, 0
         mem.push(0, 0, gen_cycle=99, frame_id=-1, frame_last=False, now=99)
         mem.push(0, 1, gen_cycle=0, frame_id=-1, frame_last=False, now=0)
-        cands = sched.select_port(0, mem.heads(0), slots[0], dests[0], now=100)
+        cands = select_port(sched, 0, mem.heads(0), slots[0], dests[0], now=100)
         # SIABP: vc0 -> 100<<1=200; vc1 -> 1<<7=128 (delay 100).
         assert [c.vc for c in cands] == [0, 1]
         assert cands[0].level == 0 and cands[1].level == 1
@@ -49,7 +51,7 @@ class TestSelectPort:
         for vc in range(6):
             slots[0, vc], dests[0, vc] = vc + 1, 0
             mem.push(0, vc, 0, -1, False, 0)
-        cands = sched.select_port(0, mem.heads(0), slots[0], dests[0], now=10)
+        cands = select_port(sched, 0, mem.heads(0), slots[0], dests[0], now=10)
         assert len(cands) == 2
         # Highest slots (6, 5) win with equal delays.
         assert [c.vc for c in cands] == [5, 4]
@@ -60,7 +62,7 @@ class TestSelectPort:
         for vc in (3, 5):
             slots[0, vc], dests[0, vc] = 10, 0
             mem.push(0, vc, 0, -1, False, 0)
-        cands = sched.select_port(0, mem.heads(0), slots[0], dests[0], now=4)
+        cands = select_port(sched, 0, mem.heads(0), slots[0], dests[0], now=4)
         assert [c.vc for c in cands] == [3, 5]
 
     def test_only_occupied_vcs_compete(self):
@@ -69,7 +71,7 @@ class TestSelectPort:
         slots[0, 2], dests[0, 2] = 999, 1  # huge priority but no flit
         slots[0, 4], dests[0, 4] = 1, 0
         mem.push(0, 4, 0, -1, False, 0)
-        cands = sched.select_port(0, mem.heads(0), slots[0], dests[0], now=1)
+        cands = select_port(sched, 0, mem.heads(0), slots[0], dests[0], now=1)
         assert [c.vc for c in cands] == [4]
 
 
@@ -92,8 +94,8 @@ class TestBatchEquivalence:
                 mem.push(p, v, now - int(rng.integers(5)), -1, False, now)
             elif mem.occupancy_of(p, v):
                 mem.pop(p, v)
-            per_port = sched.select_all(
-                [mem.heads(q) for q in range(3)], slots, dests, now
+            per_port = select_all(
+                sched, [mem.heads(q) for q in range(3)], slots, dests, now
             )
             batch = sched.select_batch(mem.heads_all(), slots, dests, now)
             assert batch == per_port
@@ -126,7 +128,7 @@ class TestIntegerKeyExactness:
                      frame_last=False, now=0)
         slots = np.array([slots_by_vc], dtype=np.int64)
         dests = np.zeros((1, vcs), dtype=np.int64)
-        return sched.select_port(0, mem.heads(0), slots[0], dests[0], now)
+        return select_port(sched, 0, mem.heads(0), slots[0], dests[0], now)
 
     def test_large_slots_large_delay_rank_exactly(self):
         """SIABP keys with slots >= 2**14 and delay >= 2**30.
@@ -165,8 +167,8 @@ class TestIntegerKeyExactness:
         for p in range(2):
             for vc in range(4):
                 mem.push(p, vc, 0, -1, False, 0)
-        per_port = sched.select_all(
-            [mem.heads(p) for p in range(2)], slots, dests, now=1
+        per_port = select_all(
+            sched, [mem.heads(p) for p in range(2)], slots, dests, now=1
         )
         batch = sched.select_batch(mem.heads_all(), slots, dests, now=1)
         assert batch == per_port
@@ -183,8 +185,8 @@ class TestIntegerKeyExactness:
         dests = np.zeros((3, 4), dtype=np.int64)
         mem.push(1, 0, 0, -1, False, 0)  # ports 0 and 2 stay empty
         now = 2**31
-        per_port = sched.select_all(
-            [mem.heads(p) for p in range(3)], slots, dests, now
+        per_port = select_all(
+            sched, [mem.heads(p) for p in range(3)], slots, dests, now
         )
         batch = sched.select_batch(mem.heads_all(), slots, dests, now)
         assert batch == per_port

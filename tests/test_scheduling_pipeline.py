@@ -63,7 +63,7 @@ def filled_buffer(scheme_name, seed):
     dests = rng.integers(0, 4, size=(4, 8))
     reserved = rng.random((4, 8)) < 0.5
     buf = CandidateBuffer(4, config.candidate_levels)
-    sched.select_into(buf, mem.heads_all(), slots, dests, 64, reserved)
+    sched.select_into(buf, *mem.occupancy_state(), slots, dests, 64, reserved)
     return buf
 
 
@@ -127,14 +127,38 @@ def starved_fabric(topology, rng_mode="per-router"):
     )
 
 
-def run_fabric(fabric, scheme, seed=3, cycles=500):
+def with_failures(sim, failures, after_step=None):
+    """Fire ``failures`` ({cycle: callable(net, now)}) inside the run.
+
+    Each failure lands just before that cycle's network step, on the
+    same loop ``FabricSim.run`` drives; ``after_step(net)`` runs after
+    every step.
+    """
+    core = sim.shard_core
+    step = core.step
+
+    def failing_step(now):
+        fail = failures.get(now)
+        if fail is not None:
+            fail(sim.net, now)
+        step(now)
+        if after_step is not None:
+            after_step(sim.net)
+
+    core.step = failing_step
+
+
+def run_fabric(fabric, scheme, seed=3, cycles=500, failures=None):
     sim = FabricSim(fabric, starved_config(), scheme=scheme, seed=seed)
+    if failures:
+        with_failures(sim, failures)
     result = sim.run(0.9, cycles)
     return {
         "result": canon(result.to_dict()),
         "payload": canon(sim.engine.to_payload()),
         "routers": sim.router_fingerprints(),
         "streams": sim.fingerprint(),
+        "rerouted": sim.net.rerouted,
     }
 
 
@@ -154,6 +178,57 @@ def test_fabric_credit_filter_matches_object_oracle(
     assert fast["routers"]
     # The point must actually exercise the filter.
     assert tally.dropped > 0.05 * tally.seen
+
+
+def test_fabric_dead_link_reroute_matches_object_oracle(monkeypatch):
+    """Rerouted connections rewrite the credit gates mid-run; the
+    object oracle reads ``_hop_lookup`` and ``_link_credits`` directly."""
+    fabric = starved_fabric("torus:4x4")
+    failures = {200: lambda net, now: net.fail_link(0, 1, now)}
+    fast = run_fabric(fabric, "siabp", failures=failures)
+    tally = FilterTally()
+    monkeypatch.setattr(
+        MultiRouterNetwork, "_step_router", object_step_router(tally)
+    )
+    assert run_fabric(fabric, "siabp", failures=failures) == fast
+    assert fast["rerouted"] > 0
+    assert tally.dropped > 0
+
+
+def gate_from_lookup(net):
+    """Each router's credit gate, derived from the hop and credit maps."""
+    gates = [{} for _ in net.routers]
+    for (rid, in_port, vc), (conn, hop_idx) in net._hop_lookup.items():
+        if hop_idx + 1 < conn.num_hops:
+            credits = net._link_credits[(rid, conn.hops[hop_idx].out_port)]
+            gates[rid][(in_port, vc)] = (credits, conn.hops[hop_idx + 1].vc)
+    return gates
+
+
+def assert_gates_consistent(net):
+    want = gate_from_lookup(net)
+    for rid, gate in enumerate(net._gates):
+        assert gate.keys() == want[rid].keys()
+        for key, (credits, down_vc) in gate.items():
+            want_credits, want_vc = want[rid][key]
+            assert credits is want_credits  # the live list, not a copy
+            assert down_vc == want_vc
+
+
+def test_credit_gates_track_failures_and_teardowns():
+    fabric = starved_fabric("torus:4x4")
+    sim = FabricSim(fabric, starved_config(), seed=3)
+    failures = {
+        150: lambda net, now: net.fail_link(0, 1, now),
+        300: lambda net, now: net.fail_router(5, now),
+    }
+    with_failures(sim, failures, after_step=assert_gates_consistent)
+    sim.run(0.9, 600)
+    net = sim.net
+    assert net.rerouted > 0
+    assert net.dropped_connections > 0
+    assert net.released_connections > 0
+    assert_gates_consistent(net)
 
 
 def test_fabric_shared_stream_matches_object_oracle(monkeypatch):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.router.config import RouterConfig
 from repro.router.vc_memory import InterleavedRam, VCMemory
+
+from .vc_memory_oracle import RingVCMemory
 
 
 def make_mem(ports=2, vcs=4, depth=3) -> VCMemory:
@@ -222,3 +225,84 @@ class TestSparseOccupancyView:
         for now in (3, 8, 13):
             mem.push(0, 0, now - 3, -1, False, now)
         assert [mem.pop(0, 0)[1] for _ in range(3)] == [3, 8, 13]
+
+
+# ----------------------------------------------------------------------
+# Differential: the Python-native memory against the numpy ring buffers
+# ----------------------------------------------------------------------
+
+
+def _ops(ports, vcs):
+    """Push/pop sequences biased toward a few VCs, so buffers fill up."""
+    port = st.one_of(st.integers(0, 1), st.integers(0, ports - 1))
+    vc = st.one_of(st.integers(0, 1), st.integers(0, vcs - 1))
+    push = st.tuples(
+        st.just("push"), port, vc,
+        st.integers(0, 10**6), st.integers(-1, 500), st.booleans(),
+    )
+    pop = st.tuples(st.just("pop"), port, vc)
+    return st.lists(st.one_of(push, push, pop), min_size=20, max_size=150)
+
+
+def _assert_same_state(mem, ref, ports, vcs):
+    np.testing.assert_array_equal(mem.occupancy, ref.occupancy)
+    occ = ref.occupancy > 0
+    for got, want in ((mem.heads_all(), ref.heads_all()),
+                      (mem.sched_view(), ref.sched_view())):
+        np.testing.assert_array_equal(got.occupancy, want.occupancy)
+        # The ring buffers leave stale slots behind; only occupied VCs
+        # carry a head flit.
+        np.testing.assert_array_equal(
+            got.arrival_cycle[occ], want.arrival_cycle[occ]
+        )
+        if want.gen_cycle is None:
+            assert got.gen_cycle is None
+        else:
+            np.testing.assert_array_equal(
+                got.gen_cycle[occ], want.gen_cycle[occ]
+            )
+    assert mem.total_flits() == ref.total_flits()
+    mask, heads_q = mem.occupancy_state()
+    ref_mask, ref_q = ref.occupancy_state()
+    assert mask == ref_mask
+    assert [list(q) for q in heads_q] == [list(q) for q in ref_q]
+    for p, v in np.argwhere(occ).tolist():
+        assert mem.occupancy_of(p, v) == ref.occupancy_of(p, v)
+        assert mem.head_arrival(p, v) == ref.head_arrival(p, v)
+
+
+@pytest.mark.parametrize(
+    "ports,vcs,depth", [(6, 8, 2), (4, 64, 4)], ids=["6x8x2", "4x64x4"]
+)
+# No shrink phase: shrinking a failing 150-op sequence runs into
+# Hypothesis's five-minute cap; the unshrunk failure is reported at once.
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_matches_ring_buffer_oracle(ports, vcs, depth, data):
+    mem = make_mem(ports=ports, vcs=vcs, depth=depth)
+    ref = RingVCMemory(mem.config)
+    for now, op in enumerate(data.draw(_ops(ports, vcs))):
+        if op[0] == "push":
+            _, p, v, gen, frame, last = op
+            outcome = []
+            for m in (mem, ref):
+                try:
+                    m.push(p, v, gen, frame, last, now)
+                    outcome.append(None)
+                except OverflowError:
+                    outcome.append(OverflowError)
+            assert outcome[0] is outcome[1]
+        else:
+            _, p, v = op
+            popped = []
+            for m in (mem, ref):
+                try:
+                    popped.append(m.pop(p, v))
+                except IndexError:
+                    popped.append(IndexError)
+            assert popped[0] == popped[1]
+        assert mem.occupancy_state()[0] == ref.occupancy_state()[0]
+        if now % 8 == 0:
+            _assert_same_state(mem, ref, ports, vcs)
+    _assert_same_state(mem, ref, ports, vcs)
